@@ -56,15 +56,14 @@ def _parse_config_file(path) -> dict:
 
 
 def _build_config(args) -> pipeline.PipelineConfig:
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     kwargs = {}
     for name in _CONFIG_FIELDS:
         flag_value = getattr(args, name, None)
         if flag_value is not None:
             kwargs[name] = flag_value
-        elif name in file_values:
+        elif name in args.config_values:
             caster = int if name in _INT_FIELDS else float
-            kwargs[name] = caster(file_values[name])
+            kwargs[name] = caster(args.config_values[name])
     cfg = pipeline.PipelineConfig(**kwargs)
     return cfg
 
@@ -77,10 +76,9 @@ def _parse_weight_list(text, count, label) -> np.ndarray:
 
 
 def _build_weights(args) -> DistanceWeights:
-    file_values = _parse_config_file(args.config) if getattr(args, "config", None) else {}
     kwargs = {}
-    cep = getattr(args, "cepstral_weights", None) or file_values.get("cepstral_weights")
-    tem = getattr(args, "temporal_weights", None) or file_values.get("temporal_weights")
+    cep = args.cepstral_weights or args.config_values.get("cepstral_weights")
+    tem = args.temporal_weights or args.config_values.get("temporal_weights")
     if cep:
         kwargs["cepstral_weights"] = _parse_weight_list(cep, 12, "cepstral weights")
     if tem:
@@ -316,6 +314,8 @@ def parse_and_dispatch(argv) -> int:
         "evaluate": _cmd_evaluate,
     }
     try:
+        # read once here; _build_config and _build_weights both use it
+        args.config_values = _parse_config_file(args.config) if args.config else {}
         if args.command == "synth":
             return _cmd_synth(args, parser)
         return handlers[args.command](args)

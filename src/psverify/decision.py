@@ -71,15 +71,6 @@ def weighted_distance(x, y, w) -> float:
     return float(w @ (d * d))
 
 
-def _argmin(distances: dict) -> str:
-    # ties break towards the lexicographically smallest speaker id
-    best = None
-    for sid in sorted(distances):
-        if best is None or distances[sid] < distances[best]:
-            best = sid
-    return best
-
-
 def score_against_models(
     features: UtteranceFeatures,
     model_set: ModelSet,
@@ -88,23 +79,28 @@ def score_against_models(
     """Distances from the test vector to every same-vowel speaker model.
 
     The 12-dimensional cepstral distance and the 4-dimensional temporal
-    distance are computed and minimized independently.
+    distance are computed and minimized independently, each as one pass
+    over the vowel's cached model matrix; every value equals
+    `weighted_distance` against that model up to rounding.
     """
     if weights is None:
         weights = DistanceWeights()
-    models = model_set.for_vowel(features.vowel)
-    if not models:
+    ids, matrix = model_set.table(features.vowel)
+    if not ids:
         raise ValueError(f"no enrolled model for vowel {features.vowel!r}")
-    cep = {}
-    tem = {}
-    for model in models:
-        cep[model.speaker_id] = weighted_distance(
-            features.cepstral.c, model.cepstral, weights.cepstral_weights
-        )
-        tem[model.speaker_id] = weighted_distance(
-            features.temporal.vector, model.temporal, weights.temporal_weights
-        )
-    return DistanceReport(cep, tem, _argmin(cep), _argmin(tem))
+    sq = (matrix - features.vector) ** 2
+    # einsum sums every row in the same order; BLAS gemv (`@`) rounds a row
+    # differently by its position, so equal models would not tie exactly.
+    cep = np.einsum("ij,j->i", sq[:, 4:], weights.cepstral_weights)
+    tem = np.einsum("ij,j->i", sq[:, :4], weights.temporal_weights)
+    # ids are sorted and argmin takes the first minimum, so ties break
+    # towards the lexicographically smallest speaker id
+    return DistanceReport(
+        dict(zip(ids, cep.tolist())),
+        dict(zip(ids, tem.tolist())),
+        ids[int(np.argmin(cep))],
+        ids[int(np.argmin(tem))],
+    )
 
 
 def identify_combined(report: DistanceReport) -> VerificationOutcome:

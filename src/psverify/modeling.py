@@ -1,8 +1,10 @@
 """Speaker models: per-(speaker, vowel) mean feature vectors and their
 line-oriented persistence format."""
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,7 +30,8 @@ class SpeakerModel:
         _check_speaker_id(self.speaker_id)
         if self.vowel not in VOWELS:
             raise ValueError(f"unknown vowel {self.vowel!r}")
-        arr = np.asarray(self.mean_features, dtype=np.float64)
+        arr = np.array(self.mean_features, dtype=np.float64)
+        arr.flags.writeable = False
         object.__setattr__(self, "mean_features", arr)
         if arr.shape != (MODEL_DIM,):
             raise ValueError(f"model must hold {MODEL_DIM} values, got {arr.shape}")
@@ -46,22 +49,49 @@ class SpeakerModel:
         return self.mean_features[4:]
 
 
-@dataclass
 class ModelSet:
-    models: dict = field(default_factory=dict)
-    version: str = FORMAT_HEADER
+    """Speaker models keyed by (speaker id, vowel).
+
+    `models` is a read-only view and `add` is the only way to write, so the
+    per-vowel scoring tables that `add` invalidates can never go stale.
+    """
+
+    def __init__(self):
+        self._models = {}
+        self._tables = {}
+
+    @property
+    def models(self) -> MappingProxyType:
+        """Read-only view of the models, keyed by (speaker id, vowel)."""
+        return MappingProxyType(self._models)
 
     def add(self, model: SpeakerModel) -> None:
-        key = (model.speaker_id, model.vowel)
-        if key in self.models:
+        # one shared id string per speaker keeps the per-trial distance
+        # dicts, keyed by every vowel's table ids, in a small working set
+        key = (sys.intern(model.speaker_id), model.vowel)
+        if key in self._models:
             raise ValueError(f"duplicate model for {key}")
-        self.models[key] = model
+        self._models[key] = model
+        self._tables.pop(model.vowel, None)
 
     def speakers(self) -> list[str]:
-        return sorted({sid for sid, _ in self.models})
+        return sorted({sid for sid, _ in self._models})
+
+    def table(self, vowel: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The vowel's speaker ids in lexicographic order and their models
+        stacked as a read-only (S, 16) matrix; built on first use."""
+        table = self._tables.get(vowel)
+        if table is None:
+            ids = tuple(sorted(sid for sid, v in self._models if v == vowel))
+            rows = [self._models[sid, vowel].mean_features for sid in ids]
+            matrix = np.array(rows, dtype=np.float64).reshape(len(ids), MODEL_DIM)
+            matrix.flags.writeable = False
+            table = self._tables[vowel] = (ids, matrix)
+        return table
 
     def for_vowel(self, vowel: str) -> list[SpeakerModel]:
-        return [m for (sid, v), m in sorted(self.models.items()) if v == vowel]
+        ids, _ = self.table(vowel)
+        return [self._models[sid, vowel] for sid in ids]
 
 
 def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:

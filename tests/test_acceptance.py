@@ -14,7 +14,7 @@ from helpers import (
     spectral_cepstra,
     toeplitz_lpc,
 )
-from psverify.decision import DistanceReport, _argmin, identify_combined, score_against_models
+from psverify.decision import DistanceReport, identify_combined, score_against_models
 from psverify.evaluation import (
     VOWEL_FORMANTS,
     UtteranceOutcome,
@@ -172,7 +172,7 @@ def test_criterion_6_fusion_logic():
             cep = dict(zip(sids, row[:n_speakers]))
             tem = dict(zip(sids, row[n_speakers:]))
             outcome = identify_combined(
-                DistanceReport(cep, tem, _argmin(cep), _argmin(tem))
+                DistanceReport(cep, tem, brute_argmin(cep), brute_argmin(tem))
             )
             agree = brute_argmin(cep) == brute_argmin(tem)
             assert outcome.accepted == agree
@@ -184,7 +184,7 @@ def test_criterion_6_fusion_logic():
             cep = dict(zip(sids, rng.uniform(0, 2, n_speakers).round(1)))
             tem = dict(zip(sids, rng.uniform(0, 2, n_speakers).round(1)))
             outcome = identify_combined(
-                DistanceReport(cep, tem, _argmin(cep), _argmin(tem))
+                DistanceReport(cep, tem, brute_argmin(cep), brute_argmin(tem))
             )
             assert outcome.accepted == (brute_argmin(cep) == brute_argmin(tem))
             trials += 1

@@ -154,6 +154,35 @@ class TestRecognitionCommands:
         ])
         assert code == 2
 
+    def test_config_file_weights(self, enrolled, tmp_path, capsys, monkeypatch):
+        models_path, entries = enrolled
+        train = next(e for e in entries if e.split == "train")
+        argv = ["identify", train.path, "--models", str(models_path), "--vowel", train.vowel]
+
+        def temporal_column():
+            out = capsys.readouterr().out
+            table = out.split("nearest by cepstra")[0].splitlines()[1:]
+            return {sid: float(tem) for sid, _, tem in map(str.split, table)}
+
+        assert cli.main(argv) == 0
+        plain = temporal_column()
+        assert len(plain) == 3
+        config = tmp_path / "weights.cfg"
+        config.write_text("temporal_weights=2,2,2,2\n")
+        reads = []
+        parse = cli._parse_config_file
+        monkeypatch.setattr(cli, "_parse_config_file", lambda path: reads.append(path) or parse(path))
+        assert cli.main(argv + ["--config", str(config)]) == 0
+        assert reads == [str(config)]
+        doubled = temporal_column()
+        assert doubled.keys() == plain.keys()
+        for sid, value in plain.items():
+            assert doubled[sid] == pytest.approx(2.0 * value, rel=1e-5)
+
+        config.write_text("cepstral_weights=" + ",".join(["1"] * 11) + "\n")
+        assert cli.main(argv + ["--config", str(config)]) == 2
+        assert "cepstral weights needs 12 values, got 11" in capsys.readouterr().err
+
     def test_evaluate_writes_reports(self, enrolled, small_corpus, tmp_path, capsys):
         models_path, _ = enrolled
         manifest_path, _ = small_corpus

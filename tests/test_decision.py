@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import brute_argmin
 from psverify.decision import (
     DistanceReport,
     DistanceWeights,
     TOKHURA_CEPSTRAL_WEIGHTS,
-    _argmin,
     identify_combined,
     score_against_models,
     verify_claim,
@@ -31,7 +33,42 @@ def set_of(vectors, vowel="a"):
 
 
 def report_from(cep, tem):
-    return DistanceReport(cep, tem, _argmin(cep), _argmin(tem))
+    return DistanceReport(cep, tem, brute_argmin(cep), brute_argmin(tem))
+
+
+@st.composite
+def scoring_cases(draw, values, weights):
+    """A test vector, weights and 1-40 speakers inserted in shuffled order.
+
+    Speakers draw their vectors from a small pool, so duplicated models
+    (exact ties) are common. Ids share characters so that lexicographic
+    order differs from numeric order ("s10" < "s9").
+    """
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(
+        st.text("s019_", min_size=1, max_size=3), min_size=n, max_size=n, unique=True
+    ))
+    pool = draw(st.lists(arrays(np.float64, 16, elements=values), min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    model_set = ModelSet()
+    for i in order:
+        model_set.add(SpeakerModel(ids[i], "a", pool[picks[i]], 1))
+    feats = features_from(draw(arrays(np.float64, 16, elements=values)))
+    distance_weights = DistanceWeights(
+        cepstral_weights=draw(arrays(np.float64, 12, elements=weights)),
+        temporal_weights=draw(arrays(np.float64, 4, elements=weights)),
+    )
+    return feats, model_set, distance_weights
+
+
+def loop_distances(feats, model_set, weights):
+    """Per-model weighted_distance loop, the pairwise definition."""
+    cep, tem = {}, {}
+    for (sid, _), model in model_set.models.items():
+        cep[sid] = weighted_distance(feats.cepstral.c, model.cepstral, weights.cepstral_weights)
+        tem[sid] = weighted_distance(feats.temporal.vector, model.temporal, weights.temporal_weights)
+    return cep, tem
 
 
 class TestWeightedDistance:
@@ -129,6 +166,70 @@ class TestScoreAgainstModels:
         a = score_against_models(features_from(vec), model_set)
         b = score_against_models(features_from(vec), model_set)
         assert a == b
+
+
+class TestScoringProperties:
+    @settings(deadline=None)
+    @given(scoring_cases(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False),
+    ))
+    def test_matches_pairwise_loop(self, case):
+        feats, model_set, weights = case
+        report = score_against_models(feats, model_set, weights)
+        cep, tem = loop_distances(feats, model_set, weights)
+        for got, want in ((report.cepstral_distances, cep), (report.temporal_distances, tem)):
+            assert got.keys() == want.keys()
+            for sid, value in want.items():
+                assert type(got[sid]) is float
+                assert got[sid] == pytest.approx(value, rel=1e-12, abs=0.0)
+        # equal models must tie exactly for the id tie rule to apply
+        twins = {}
+        for (sid, _), model in model_set.models.items():
+            twins.setdefault(model.mean_features.tobytes(), []).append(sid)
+        for sids in twins.values():
+            assert len({report.cepstral_distances[sid] for sid in sids}) == 1
+            assert len({report.temporal_distances[sid] for sid in sids}) == 1
+        assert report.argmin_cepstral == brute_argmin(report.cepstral_distances)
+        assert report.argmin_temporal == brute_argmin(report.temporal_distances)
+
+    # Quarter-integer values and weights keep every distance exact in any
+    # summation order, so the picks must equal the loop's, ties included.
+    @settings(deadline=None)
+    @given(scoring_cases(
+        st.integers(-12, 12).map(lambda k: k / 4),
+        st.integers(1, 16).map(lambda k: k / 4),
+    ))
+    def test_picks_equal_brute_argmin_with_exact_ties(self, case):
+        feats, model_set, weights = case
+        report = score_against_models(feats, model_set, weights)
+        cep, tem = loop_distances(feats, model_set, weights)
+        assert report.cepstral_distances == cep
+        assert report.temporal_distances == tem
+        assert report.argmin_cepstral == brute_argmin(cep)
+        assert report.argmin_temporal == brute_argmin(tem)
+
+    def test_add_invalidates_cached_table(self):
+        model_set = set_of({"s1": np.ones(16), "s3": np.full(16, 2.0)})
+        feats = features_from(np.zeros(16))
+        assert score_against_models(feats, model_set).argmin_cepstral == "s1"
+        model_set.add(SpeakerModel("s2", "a", np.full(16, 0.5), 1))
+        report = score_against_models(feats, model_set)
+        assert report.argmin_cepstral == report.argmin_temporal == "s2"
+        assert set(report.cepstral_distances) == {"s1", "s2", "s3"}
+
+    def test_models_are_read_only(self):
+        vec = np.ones(16)
+        model_set = set_of({"s1": vec})
+        vec[0] = 5.0
+        assert model_set.models["s1", "a"].mean_features[0] == 1.0
+        with pytest.raises(TypeError):
+            model_set.models["s2", "a"] = SpeakerModel("s2", "a", np.zeros(16), 1)
+        _, matrix = model_set.table("a")
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            model_set.models["s1", "a"].mean_features[0] = 5.0
 
 
 class TestIdentifyCombined:
