@@ -44,6 +44,7 @@ from .modeling import ModelSet, SpeakerModel, build_model, load_models, save_mod
 from .pipeline import PipelineConfig, detect_marks, preprocess_signal, utterance_features_from_file
 from .pitch import (
     HalfPeak,
+    HalfPeaks,
     PitchMarks,
     PitchStats,
     choose_polarity,

@@ -6,6 +6,7 @@ evaluate, synth. Exit codes: 0 success, 1 usage error, 2 data error;
 """
 
 import argparse
+import dataclasses
 import logging
 import sys
 from pathlib import Path
@@ -27,11 +28,8 @@ from .features import VOWELS, extract_utterance_features
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-_CONFIG_FIELDS = (
-    "sample_rate_hz", "frame_len", "frame_shift", "silence_multiplier",
-    "normalization_target", "silence_frames", "min_f0_hz", "max_f0_hz", "lpc_order",
-)
-_INT_FIELDS = {"sample_rate_hz", "frame_len", "frame_shift", "silence_frames", "lpc_order"}
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(pipeline.PipelineConfig))
+_INT_FIELDS = {f.name for f in dataclasses.fields(pipeline.PipelineConfig) if f.type is int}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,8 +111,6 @@ def _common_options() -> argparse.ArgumentParser:
                    help="lowest-energy frames averaged as silence (default 10)")
     g.add_argument("--min-f0", dest="min_f0_hz", type=float, help="lowest admissible F0 (default 50)")
     g.add_argument("--max-f0", dest="max_f0_hz", type=float, help="highest admissible F0 (default 500)")
-    g.add_argument("--lpc-order", dest="lpc_order", type=int,
-                   help="LPC order; the v1 model layout requires 12")
     g.add_argument("--cepstral-weights", dest="cepstral_weights", metavar="W1,..,W12",
                    help="override the Tokhura cepstral weight table")
     g.add_argument("--temporal-weights", dest="temporal_weights", metavar="W1,..,W4",

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .pitch import PitchMarks, periods_from_marks
 from .signal_io import SampleBuffer
 
@@ -108,6 +107,33 @@ def select_steady_state(buffer: SampleBuffer, periods) -> SteadyStateRegion:
     return SteadyStateRegion(tuple(periods[lo : hi + 1]), p - lo)
 
 
+def _extrema_counts(x, periods) -> np.ndarray:
+    """(poc, pot, nec, net) per period, as an (N, 4) integer array.
+
+    The crest/trough masks are built once over the span the periods cover;
+    each period's totals are differences of their running sums.
+    """
+    starts = np.array([start for start, _ in periods])
+    lengths = np.array([length for _, length in periods])
+    short = lengths < 3
+    if np.any(short):
+        raise ValueError(f"period of {lengths[short][0]} samples is shorter than one window")
+    stops = starts + lengths
+    if stops.max() > x.size:
+        raise ValueError("period runs past the end of the signal")
+    lo = starts.min()
+    seg = x[lo : stops.max()]
+    a, c, b = seg[:-2], seg[1:-1], seg[2:]
+    crest = (a < c) & (c > b)
+    trough = (a > c) & (c < b)
+    pos = c > 0.0
+    flags = np.stack((crest & pos, trough & pos, crest & ~pos, trough & ~pos))
+    running = np.zeros((4, c.size + 1), dtype=np.int64)
+    np.cumsum(flags, axis=1, out=running[:, 1:])
+    # window centres of a period run from start + 1 to start + length - 2
+    return (running[:, stops - lo - 2] - running[:, starts - lo]).T
+
+
 def count_extrema(buffer: SampleBuffer, period) -> tuple[int, int, int, int]:
     """Slide a 3-sample window across one period and count strict extrema.
 
@@ -116,30 +142,54 @@ def count_extrema(buffer: SampleBuffer, period) -> tuple[int, int, int, int]:
     a negative crest (nec), min as a negative trough (net). Plateaus count
     nothing.
     """
-    start, length = period
-    if length < 3:
-        raise ValueError(f"period of {length} samples is shorter than one window")
-    return _kernels.extrema_counts(buffer.samples, start, start + length)
+    return tuple(_extrema_counts(buffer.samples, [period])[0].tolist())
 
 
 def temporal_features(buffer: SampleBuffer, region: SteadyStateRegion) -> TemporalFeatures:
     """Sum the four counters over the region's N periods and divide by N."""
-    totals = np.zeros(4)
-    for period in region.periods:
-        totals += count_extrema(buffer, period)
-    totals /= len(region)
+    totals = _extrema_counts(buffer.samples, region.periods).sum(axis=0) / len(region)
     return TemporalFeatures(*totals)
 
 
 def autocorrelation(frame, max_lag: int = LPC_ORDER) -> np.ndarray:
     """R[k] = sum_n frame[n] * frame[n+k] for k = 0..max_lag, no tapering."""
     frame = np.asarray(frame, dtype=np.float64)
-    if frame.size <= max_lag:
-        raise ValueError(f"frame of {frame.size} samples too short for lag {max_lag}")
-    r = _kernels.autocorr(frame, max_lag)
+    n = frame.size
+    if n <= max_lag:
+        raise ValueError(f"frame of {n} samples too short for lag {max_lag}")
+    r = np.array([frame[: n - k] @ frame[k:] for k in range(max_lag + 1)])
     if r[0] <= 0.0:
         raise ValueError("all-zero frame has no autocorrelation")
     return r
+
+
+def _levinson_batch(r):
+    """Levinson-Durbin on each row of r (F frames x order+1 lags) at once.
+
+    Every sum is accumulated left to right, as a scalar loop over one frame
+    would, so each row rounds exactly as if it were solved alone.
+    """
+    frames, order = r.shape[0], r.shape[1] - 1
+    if (r[:, 0] <= 0.0).any():
+        raise ValueError("ill-conditioned autocorrelation: R[0] <= 0")
+    a = np.zeros((frames, order))
+    k = np.empty((frames, order))
+    err = np.empty((frames, order + 1))
+    err[:, 0] = r[:, 0]
+    terms = np.zeros((frames, order))  # column 0 stays 0.0, where each sum starts
+    for i in range(1, order + 1):
+        e_prev = err[:, i - 1]
+        if (e_prev <= 0.0).any():
+            raise ValueError("ill-conditioned autocorrelation: vanishing residual")
+        np.multiply(a[:, : i - 1], r[:, i - 1 : 0 : -1], out=terms[:, 1:i])
+        ki = (r[:, i] - terms[:, :i].cumsum(axis=1)[:, -1]) / e_prev
+        if (np.abs(ki) >= 1.0).any():
+            raise ValueError("ill-conditioned autocorrelation: |reflection| >= 1")
+        a[:, : i - 1] -= ki[:, None] * a[:, : i - 1][:, ::-1]
+        a[:, i - 1] = ki
+        k[:, i - 1] = ki
+        err[:, i] = (1.0 - ki * ki) * e_prev
+    return a, k, err
 
 
 def levinson_durbin(r, order: int | None = None):
@@ -161,25 +211,23 @@ def levinson_durbin(r, order: int | None = None):
         order = r.size - 1
     if r.size < order + 1:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    if r[0] <= 0.0:
-        raise ValueError("ill-conditioned autocorrelation: R[0] <= 0")
-    a = np.zeros(order)
-    k = np.zeros(order)
-    err = np.empty(order + 1)
-    err[0] = r[0]
-    for i in range(1, order + 1):
-        e_prev = err[i - 1]
-        if e_prev <= 0.0:
-            raise ValueError("ill-conditioned autocorrelation: vanishing residual")
-        ki = (r[i] - a[: i - 1] @ r[i - 1 : 0 : -1]) / e_prev
-        if abs(ki) >= 1.0:
-            raise ValueError("ill-conditioned autocorrelation: |reflection| >= 1")
-        head = a[: i - 1].copy()
-        a[: i - 1] = head - ki * head[::-1]
-        a[i - 1] = ki
-        k[i - 1] = ki
-        err[i] = (1.0 - ki * ki) * e_prev
-    return a, k, err
+    a, k, err = _levinson_batch(r[None, : order + 1])
+    return a[0], k[0], err[0]
+
+
+def _cepstra_batch(a) -> np.ndarray:
+    """Cepstral recursion on each row of a (F frames x p predictor coefficients).
+
+    Each c_n is summed left to right from a_n, as a scalar loop would.
+    """
+    c = np.empty_like(a)
+    terms = np.empty_like(a)
+    for n in range(1, a.shape[1] + 1):
+        # a_n, then (j/n) c_j a_{n-j} for j = 1..n-1, each rounded as (j/n * c_j) * a_{n-j}
+        terms[:, 0] = a[:, n - 1]
+        np.multiply(np.arange(1, n) / n * c[:, : n - 1], a[:, : n - 1][:, ::-1], out=terms[:, 1:n])
+        c[:, n - 1] = terms[:, :n].cumsum(axis=1)[:, -1]
+    return c
 
 
 def lpc_to_cepstral(a) -> CepstralVector:
@@ -188,40 +236,28 @@ def lpc_to_cepstral(a) -> CepstralVector:
     c_n = a_n + sum_{k=1}^{n-1} (k/n) c_k a_{n-k}; no c0, no liftering.
     """
     a = np.asarray(a, dtype=np.float64)
-    p = a.size
-    c = np.zeros(p)
-    for n in range(1, p + 1):
-        acc = a[n - 1]
-        for j in range(1, n):
-            acc += (j / n) * c[j - 1] * a[n - j - 1]
-        c[n - 1] = acc
-    return CepstralVector(c)
+    return CepstralVector(_cepstra_batch(a[None, :])[0])
 
 
-def pitch_synchronous_cepstra(
-    buffer: SampleBuffer,
-    region: SteadyStateRegion,
-    order: int = LPC_ORDER,
-    max_frames: int = MAX_CEPSTRAL_FRAMES,
-) -> CepstralVector:
+def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -> CepstralVector:
     """Average cepstra over sliding frames of three consecutive periods.
 
     Frame i spans region periods i, i+1, i+2; each iteration drops the
-    first period and appends the next, for min(N-2, max_frames) frames.
+    first period and appends the next, for min(N-2, 18) frames.
     """
     n = len(region)
     if n < 3:
         raise ValueError(f"region too short: {n} periods, need 3")
-    n_frames = min(n - 2, max_frames)
+    n_frames = min(n - 2, MAX_CEPSTRAL_FRAMES)
     x = buffer.samples
-    acc = np.zeros(order)
+    r = np.empty((n_frames, LPC_ORDER + 1))
     for i in range(n_frames):
-        start = region.periods[i][0]
         last_start, last_len = region.periods[i + 2]
-        frame = x[start : last_start + last_len]
-        r = autocorrelation(frame, order)
-        a, _, _ = levinson_durbin(r, order)
-        acc += lpc_to_cepstral(a).c
+        r[i] = autocorrelation(x[region.periods[i][0] : last_start + last_len])
+    a, _, _ = _levinson_batch(r)
+    acc = np.zeros(LPC_ORDER)
+    for c in _cepstra_batch(a):  # frames summed in order
+        acc += c
     return CepstralVector(acc / n_frames)
 
 

@@ -1,7 +1,7 @@
 """End-to-end per-utterance pipeline: load, preprocess, mark, extract."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import preprocess, signal_io
 from .features import UtteranceFeatures, extract_utterance_features
@@ -27,19 +27,13 @@ class PipelineConfig:
     silence_frames: int = preprocess.SILENCE_FRAMES
     min_f0_hz: float = 50.0
     max_f0_hz: float = 500.0
-    lpc_order: int = 12
 
     def __post_init__(self):
-        for name in (
-            "sample_rate_hz", "frame_len", "frame_shift", "silence_multiplier",
-            "normalization_target", "silence_frames", "min_f0_hz", "max_f0_hz", "lpc_order",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for field in fields(self):
+            if getattr(self, field.name) <= 0:
+                raise ValueError(f"{field.name} must be positive")
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
-        if self.lpc_order != 12:
-            raise ValueError("the 16-feature v1 layout requires lpc_order = 12")
 
     @property
     def frame_plan(self) -> preprocess.FramePlan:

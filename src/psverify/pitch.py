@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .signal_io import SampleBuffer
 
 POSITIVE = "positive"
@@ -36,6 +35,43 @@ class HalfPeak:
             raise ValueError("negative half with non-negative peak")
         if self.mpd < 0:
             raise ValueError("MPD must be non-negative")
+
+
+@dataclass(frozen=True, eq=False)
+class HalfPeaks:
+    """Every half of a signal in time order, as parallel arrays.
+
+    `signs` is +1/-1 per half, `indices` the first sample attaining its
+    peak, `values` the peak and `mpds` its MPD. Iterating yields one
+    HalfPeak record per half.
+    """
+
+    signs: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    mpds: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("signs", np.int8), ("indices", np.int64),
+                            ("values", np.float64), ("mpds", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self.signs.ndim != 1 or not (
+            self.signs.shape == self.indices.shape == self.values.shape == self.mpds.shape
+        ):
+            raise ValueError("half-peak arrays must be 1-D and of one length")
+        if np.any(np.abs(self.signs) != 1) or np.any(np.sign(self.values) != self.signs):
+            raise ValueError("each sign must be +1 or -1 and match its peak's sign")
+        if np.any(self.mpds < 0):
+            raise ValueError("MPD must be non-negative")
+
+    def __len__(self):
+        return self.signs.size
+
+    def __iter__(self):
+        for sign, index, value, mpd in zip(
+            self.signs.tolist(), self.indices.tolist(), self.values.tolist(), self.mpds.tolist()
+        ):
+            yield HalfPeak(POSITIVE if sign > 0 else NEGATIVE, index, value, mpd)
 
 
 @dataclass(frozen=True)
@@ -68,38 +104,47 @@ class PitchMarks:
             raise ValueError(f"unknown polarity {self.polarity_used!r}")
 
 
-def extract_half_peaks(buffer: SampleBuffer) -> list[HalfPeak]:
-    """One HalfPeak per half, in time order.
+def _scan_halves(x):
+    """Sign, peak index and peak value of every maximal same-sign run of x.
+
+    The peak index is the first sample attaining the run's extremum; zero
+    samples belong to no run.
+    """
+    signs = np.sign(x).astype(np.int8)
+    starts = np.concatenate(([0], np.flatnonzero(signs[1:] != signs[:-1]) + 1))
+    lengths = np.diff(np.append(starts, x.size))
+    # the run extremum is the maximum of sign*x (negation is exact); zero runs
+    # carry along and are dropped at the end
+    signed = signs * x
+    run_max = np.maximum.reduceat(signed, starts)
+    hits = np.flatnonzero(signed == np.repeat(run_max, lengths))
+    voiced = signs[starts] != 0
+    indices = hits[np.searchsorted(hits, starts[voiced])]
+    return signs[indices], indices, x[indices]
+
+
+def extract_half_peaks(buffer: SampleBuffer) -> HalfPeaks:
+    """Every half in time order, with its peak and MPD.
 
     The MPD of a half compares its peak against the previous and next halves
     of the same polarity; a missing neighbour contributes 0, so a lone half
     of one polarity gets MPD 0.
     """
-    pol, idx, val = _kernels.half_peaks(buffer.samples)
-    if not (np.any(pol > 0) and np.any(pol < 0)):
+    signs, indices, values = _scan_halves(buffer.samples)
+    if not (np.any(signs > 0) and np.any(signs < 0)):
         raise ValueError("unvoiced or degenerate signal: no sign alternation")
-    peaks = []
-    for sign, polarity in ((1, POSITIVE), (-1, NEGATIVE)):
-        sel = np.nonzero(pol == sign)[0]
-        values = val[sel]
-        if values.size == 1:
-            mpds = np.zeros(1)
-        else:
-            diffs = np.abs(np.diff(values))
-            mpds = np.maximum(
-                np.concatenate((np.zeros(1), diffs)),
-                np.concatenate((diffs, np.zeros(1))),
-            )
-        for j, run_i in enumerate(sel):
-            peaks.append(HalfPeak(polarity, int(idx[run_i]), float(val[run_i]), float(mpds[j])))
-    peaks.sort(key=lambda p: p.peak_index)
-    return peaks
+    mpds = np.empty(values.size)
+    for sign in (1, -1):
+        sel = signs == sign
+        diffs = np.abs(np.diff(values[sel]))
+        mpds[sel] = np.maximum(np.concatenate(([0.0], diffs)), np.concatenate((diffs, [0.0])))
+    return HalfPeaks(signs, indices, values, mpds)
 
 
-def compute_stats(peaks) -> PitchStats:
+def compute_stats(peaks: HalfPeaks) -> PitchStats:
     """AMPV (mean MPD), spread and maximum per polarity."""
-    pos = np.array([p.mpd for p in peaks if p.polarity == POSITIVE])
-    neg = np.array([p.mpd for p in peaks if p.polarity == NEGATIVE])
+    pos = peaks.mpds[peaks.signs > 0]
+    neg = peaks.mpds[peaks.signs < 0]
     if pos.size == 0 or neg.size == 0:
         raise ValueError("need at least one half of each polarity")
     return PitchStats(
@@ -124,17 +169,26 @@ def choose_polarity(stats: PitchStats) -> str:
     return POSITIVE if cv_pos <= cv_neg else NEGATIVE
 
 
-def _interval_x(mpd: float, ampv: float, max_mpd: float) -> int:
-    # x in 1..10 partitions [0, AMPV]; 11..20 partitions (AMPV, max MPD].
-    if mpd <= ampv:
-        if ampv <= 0.0:
-            return 1
-        return min(int(mpd * 10.0 / ampv) + 1, 10)
+def _thresholds(values, mpds, ampv: float, max_mpd: float) -> np.ndarray:
+    """Signed thresholds value - (x/100)*value for halves of one polarity.
+
+    x in 1..10 partitions [0, AMPV]; x in 11..20 partitions (AMPV, max MPD].
+    """
     span = max_mpd - ampv
-    if span <= 0.0:  # unreachable when max_mpd >= mpd > ampv
-        return 20
-    step = int(np.ceil((mpd - ampv) * 10.0 / span))
-    return 10 + min(max(step, 1), 10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # MPDs are non-negative, so floor is int() truncation
+        low = np.where(ampv <= 0.0, 1.0, np.minimum(np.floor(mpds * 10.0 / ampv) + 1.0, 10.0))
+        # span <= 0 is unreachable when max_mpd >= mpd > ampv
+        step = np.clip(np.ceil((mpds - ampv) * 10.0 / span), 1.0, 10.0)
+        high = np.where(span <= 0.0, 20.0, 10.0 + step)
+    x = np.where(mpds <= ampv, low, high)
+    return values * (1.0 - x / 100.0)
+
+
+def _polarity_stats(polarity: str, stats: PitchStats) -> tuple[float, float]:
+    if polarity == POSITIVE:
+        return stats.ampv_pos, stats.max_mpd_pos
+    return stats.ampv_neg, stats.max_mpd_neg
 
 
 def threshold_for_peak(peak: HalfPeak, stats: PitchStats) -> float:
@@ -145,17 +199,15 @@ def threshold_for_peak(peak: HalfPeak, stats: PitchStats) -> float:
     (x = 11..20) that the half's MPD falls in. Larger x means a more
     permissive (lower-magnitude) threshold.
     """
-    if peak.polarity == POSITIVE:
-        ampv, max_mpd = stats.ampv_pos, stats.max_mpd_pos
-    else:
-        ampv, max_mpd = stats.ampv_neg, stats.max_mpd_neg
-    x = _interval_x(peak.mpd, ampv, max_mpd)
-    return peak.peak_value * (1.0 - x / 100.0)
+    thresholds = _thresholds(
+        np.array([peak.peak_value]), np.array([peak.mpd]), *_polarity_stats(peak.polarity, stats)
+    )
+    return float(thresholds[0])
 
 
 def mark_pitch_periods(
     buffer: SampleBuffer,
-    peaks,
+    peaks: HalfPeaks,
     stats: PitchStats,
     polarity: str,
     min_period: int,
@@ -170,21 +222,26 @@ def mark_pitch_periods(
     """
     if not 0 < min_period < max_period:
         raise ValueError(f"need 0 < min_period < max_period, got {min_period}/{max_period}")
-    n = buffer.samples.size
-    chosen = [p for p in peaks if p.polarity == polarity]
-    if len(chosen) < 2:
+    chosen = peaks.signs == (1 if polarity == POSITIVE else -1)
+    if np.count_nonzero(chosen) < 2:
         raise ValueError("pitch not detected: fewer than two candidate halves")
-    marks = [chosen[0].peak_index]
-    threshold = abs(threshold_for_peak(chosen[0], stats))
-    for half in chosen[1:]:
-        if half.peak_index >= n:
-            raise ValueError("peak index beyond buffer")
-        gap = half.peak_index - marks[-1]
+    values = peaks.values[chosen]
+    indices = peaks.indices[chosen].tolist()
+    if indices[-1] >= buffer.samples.size:
+        raise ValueError("peak index beyond buffer")
+    magnitudes = np.abs(values).tolist()
+    thresholds = np.abs(
+        _thresholds(values, peaks.mpds[chosen], *_polarity_stats(polarity, stats))
+    ).tolist()
+    marks = [indices[0]]
+    threshold = thresholds[0]
+    for index, magnitude, next_threshold in zip(indices[1:], magnitudes[1:], thresholds[1:]):
+        gap = index - marks[-1]
         if gap < min_period or gap > max_period:
             continue
-        if abs(half.peak_value) >= threshold:
-            marks.append(half.peak_index)
-            threshold = abs(threshold_for_peak(half, stats))
+        if magnitude >= threshold:
+            marks.append(index)
+            threshold = next_threshold
     if len(marks) < 2:
         raise ValueError("pitch not detected")
     return PitchMarks(np.asarray(marks, dtype=np.int64), polarity)

@@ -1,6 +1,5 @@
 """Load and store speech signals: plain-text sample files and 16-bit PCM WAV."""
 
-import warnings
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,27 +38,20 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
     header, so the sample rate is supplied by the caller.
     """
     path = Path(path)
-    with open(path, encoding="utf-8-sig") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # loadtxt warns on empty input
-                arr = np.loadtxt(fh, dtype=np.float64, comments=None, ndmin=1)
-        except ValueError:
-            arr = None
-    if arr is None or arr.ndim != 1:
-        # slow path only to produce a precise diagnostic
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    try:
+        arr = np.array(lines, dtype=np.float64)
+    except ValueError:
+        # blank or malformed lines: parse line by line for a precise diagnostic
         values = []
-        with open(path, encoding="utf-8-sig") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                text = raw.strip()
-                if not text:
-                    continue
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno}: not a number: {text!r}"
-                    ) from None
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
         arr = np.asarray(values, dtype=np.float64)
     if arr.size == 0:
         raise ValueError(f"{path}: empty signal")
@@ -95,5 +87,10 @@ def load_signal(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuffer:
 
 
 def write_text_samples(buffer: SampleBuffer, path) -> None:
-    """Write one sample per line; round-trips through load_text_samples to 1e-6."""
-    np.savetxt(path, buffer.samples, fmt="%.12g")
+    """Write one sample per line; round-trips through load_text_samples to 1e-6.
+
+    The bytes equal np.savetxt(path, samples, fmt="%.12g").
+    """
+    text = "\n".join([format(v, ".12g") for v in buffer.samples.tolist()])
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text + "\n")

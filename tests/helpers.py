@@ -22,6 +22,52 @@ def brute_extrema(x):
     return poc, pot, nec, net
 
 
+def brute_half_peaks(x):
+    """Walk x once, closing a run at every sign change.
+
+    Returns (signs, indices, values): run sign (+1/-1), the first index
+    attaining the run's extremum, and its value; zeros belong to no run.
+    """
+    n = x.shape[0]
+    pol = np.empty(n, np.int8)
+    idx = np.empty(n, np.int64)
+    val = np.empty(n, np.float64)
+    count = 0
+    run_sign = 0
+    best_i = -1
+    best_v = 0.0
+    for i in range(n):
+        v = x[i]
+        s = 0
+        if v > 0.0:
+            s = 1
+        elif v < 0.0:
+            s = -1
+        if s != run_sign:
+            if run_sign != 0:
+                pol[count] = run_sign
+                idx[count] = best_i
+                val[count] = best_v
+                count += 1
+            run_sign = s
+            best_i = i
+            best_v = v
+        elif s > 0:
+            if v > best_v:
+                best_v = v
+                best_i = i
+        elif s < 0:
+            if v < best_v:
+                best_v = v
+                best_i = i
+    if run_sign != 0:
+        pol[count] = run_sign
+        idx[count] = best_i
+        val[count] = best_v
+        count += 1
+    return pol[:count].copy(), idx[:count].copy(), val[:count].copy()
+
+
 def toeplitz_lpc(r, order):
     """Dense solve of the Toeplitz normal equations."""
     r = np.asarray(r, dtype=np.float64)
@@ -30,6 +76,36 @@ def toeplitz_lpc(r, order):
         for j in range(order):
             t[i, j] = r[abs(i - j)]
     return np.linalg.solve(t, r[1 : order + 1])
+
+
+def loop_levinson(r):
+    """Levinson-Durbin one order at a time on one frame; (a, k, err)."""
+    r = np.asarray(r, dtype=np.float64)
+    order = r.size - 1
+    a = np.zeros(order)
+    k = np.zeros(order)
+    err = np.empty(order + 1)
+    err[0] = r[0]
+    for i in range(1, order + 1):
+        ki = (r[i] - a[: i - 1] @ r[i - 1 : 0 : -1]) / err[i - 1]
+        head = a[: i - 1].copy()
+        a[: i - 1] = head - ki * head[::-1]
+        a[i - 1] = ki
+        k[i - 1] = ki
+        err[i] = (1.0 - ki * ki) * err[i - 1]
+    return a, k, err
+
+
+def loop_cepstra(a):
+    """c_n = a_n + sum_{j=1}^{n-1} (j/n) c_j a_{n-j}, one term at a time."""
+    p = len(a)
+    c = np.zeros(p)
+    for n in range(1, p + 1):
+        acc = a[n - 1]
+        for j in range(1, n):
+            acc += (j / n) * c[j - 1] * a[n - j - 1]
+        c[n - 1] = acc
+    return c
 
 
 def spectral_cepstra(a, n_ceps, n_fft=1 << 18):

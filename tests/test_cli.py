@@ -49,6 +49,13 @@ class TestParsing:
             assert exc.value.code == 0
 
 
+    def test_lpc_order_flag_is_usage_error(self, vowel_file):
+        # the order is fixed at 12 by the 16-feature layout
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["features", str(vowel_file), "--lpc-order", "12"])
+        assert exc.value.code == 1
+
+
 class TestSignalCommands:
     def test_preprocess_writes_loadable_signal(self, vowel_file, tmp_path):
         out = tmp_path / "pre.txt"

@@ -6,6 +6,7 @@ from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
 from psverify.pipeline import detect_marks, preprocess_signal
 from psverify.pitch import (
     HalfPeak,
+    HalfPeaks,
     PitchMarks,
     PitchStats,
     choose_polarity,
@@ -38,13 +39,13 @@ class TestExtractHalfPeaks:
     def test_single_sine_cycle(self):
         cycle = buf(np.sin(2 * np.pi * np.arange(160) / 160))
         peaks = extract_half_peaks(cycle)
-        assert [p.polarity for p in peaks] == ["positive", "negative"]
+        assert peaks.signs.tolist() == [1, -1]
 
     def test_neighbour_difference_rule(self):
         peaks = extract_half_peaks(buf([100, -10, 120, -10, 90]))
-        positive = [p for p in peaks if p.polarity == "positive"]
-        assert [p.peak_value for p in positive] == [100, 120, 90]
-        assert [p.mpd for p in positive] == [20, 30, 30]
+        positive = peaks.signs > 0
+        assert peaks.values[positive].tolist() == [100, 120, 90]
+        assert peaks.mpds[positive].tolist() == [20, 30, 30]
 
     def test_constant_positive_signal_rejected(self):
         with pytest.raises(ValueError, match="unvoiced or degenerate"):
@@ -52,20 +53,44 @@ class TestExtractHalfPeaks:
 
     def test_zeros_split_runs(self):
         peaks = extract_half_peaks(buf([1, 0, 2, -1]))
-        assert [(p.polarity, p.peak_value) for p in peaks] == [
-            ("positive", 1), ("positive", 2), ("negative", -1),
-        ]
+        assert peaks.signs.tolist() == [1, 1, -1]
+        assert peaks.values.tolist() == [1, 2, -1]
 
     def test_peak_index_is_first_extremum_sample(self):
         peaks = extract_half_peaks(buf([3, 7, 7, 1, -2]))
-        assert peaks[0].peak_index == 1
+        assert peaks.indices.tolist() == [1, 4]
+
+    def test_iterates_as_records(self):
+        peaks = extract_half_peaks(buf([100, -10, 120, -10, 90]))
+        assert len(peaks) == 5
+        assert list(peaks)[:2] == [HalfPeak("positive", 0, 100.0, 20.0), HalfPeak("negative", 1, -10.0, 0.0)]
+
+
+class TestHalfPeaks:
+    def test_sign_must_match_peak(self):
+        with pytest.raises(ValueError, match="sign"):
+            HalfPeaks([1, 1], [0, 5], [3.0, -2.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="sign"):
+            HalfPeaks([0], [0], [0.0], [0.0])
+
+    def test_negative_mpd_rejected(self):
+        with pytest.raises(ValueError, match="MPD"):
+            HalfPeaks([1, -1], [0, 5], [3.0, -2.0], [1.0, -1.0])
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="one length"):
+            HalfPeaks([1, -1], [0, 5], [3.0, -2.0], [1.0])
 
 
 class TestComputeStats:
     def peaks_with_mpds(self, pos_mpds, neg_mpds):
-        out = [HalfPeak("positive", i * 10, 50.0, m) for i, m in enumerate(pos_mpds)]
-        out += [HalfPeak("negative", 1000 + i * 10, -50.0, m) for i, m in enumerate(neg_mpds)]
-        return out
+        n_pos, n_neg = len(pos_mpds), len(neg_mpds)
+        return HalfPeaks(
+            signs=[1] * n_pos + [-1] * n_neg,
+            indices=[i * 10 for i in range(n_pos)] + [1000 + i * 10 for i in range(n_neg)],
+            values=[50.0] * n_pos + [-50.0] * n_neg,
+            mpds=[*pos_mpds, *neg_mpds],
+        )
 
     def test_mean(self):
         stats = compute_stats(self.peaks_with_mpds([10, 20, 30], [1]))
@@ -82,7 +107,7 @@ class TestComputeStats:
         assert stats.ampv_pos == 5.0 == stats.max_mpd_pos
 
     def test_missing_polarity_rejected(self):
-        pos_only = [HalfPeak("positive", 0, 1.0, 0.0)]
+        pos_only = HalfPeaks([1], [0], [1.0], [0.0])
         with pytest.raises(ValueError, match="polarity"):
             compute_stats(pos_only)
 

@@ -1,0 +1,129 @@
+"""Property tests: the vectorized stages against loop oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import brute_extrema, brute_half_peaks, loop_cepstra, loop_levinson
+from psverify.features import (
+    LPC_ORDER,
+    MAX_CEPSTRAL_FRAMES,
+    SteadyStateRegion,
+    autocorrelation,
+    levinson_durbin,
+    lpc_to_cepstral,
+    pitch_synchronous_cepstra,
+    temporal_features,
+)
+from psverify.pitch import extract_half_peaks
+from psverify.signal_io import SampleBuffer
+
+PROPERTY = settings(max_examples=200, deadline=None)
+
+# small integers give exact zeros and plateaus; floats give ties only by chance
+int_signals = st.lists(st.integers(-3, 3), min_size=1, max_size=300)
+float_signals = st.lists(
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=1, max_size=300
+)
+
+
+def brute_mpds(signs, values):
+    """Largest |difference| to the previous/next peak of the same sign."""
+    mpds = []
+    for i, (sign, value) in enumerate(zip(signs, values)):
+        same = [j for j in range(len(signs)) if signs[j] == sign]
+        pos = same.index(i)
+        neighbours = [values[j] for j in same[max(pos - 1, 0) : pos + 2] if j != i]
+        mpds.append(max([abs(value - v) for v in neighbours], default=0.0))
+    return mpds
+
+
+def check_half_peaks(samples):
+    x = np.asarray(samples, dtype=np.float64)
+    signs, indices, values = brute_half_peaks(x)
+    if not (np.any(signs > 0) and np.any(signs < 0)):
+        with pytest.raises(ValueError, match="no sign alternation"):
+            extract_half_peaks(SampleBuffer(x, 16000))
+        return
+    peaks = extract_half_peaks(SampleBuffer(x, 16000))
+    np.testing.assert_array_equal(peaks.signs, signs)
+    np.testing.assert_array_equal(peaks.indices, indices)
+    np.testing.assert_array_equal(peaks.values, values)
+    assert peaks.mpds.tolist() == brute_mpds(signs.tolist(), values.tolist())
+
+
+@PROPERTY
+@given(int_signals)
+def test_half_peaks_match_loop_on_integers(samples):
+    check_half_peaks(samples)
+
+
+@PROPERTY
+@given(float_signals)
+def test_half_peaks_match_loop_on_floats(samples):
+    check_half_peaks(samples)
+
+
+@st.composite
+def signal_with_region(draw, min_length):
+    """A signal and 1..20 contiguous periods inside it."""
+    lengths = draw(st.lists(st.integers(min_length, 40), min_size=1, max_size=20))
+    lead = draw(st.integers(0, 10))
+    starts = lead + np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    n = lead + sum(lengths) + draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-3, 4, n).astype(np.float64)
+    else:
+        x = rng.normal(0.0, 1.0, n)
+    periods = tuple((int(s), length) for s, length in zip(starts, lengths))
+    return x, SteadyStateRegion(periods, 0)
+
+
+@PROPERTY
+@given(signal_with_region(min_length=3))
+def test_temporal_features_match_per_period_loop(case):
+    x, region = case
+    totals = np.zeros(4)
+    for start, length in region.periods:
+        totals += brute_extrema(x[start : start + length])
+    feats = temporal_features(SampleBuffer(x, 16000), region)
+    np.testing.assert_array_equal(feats.vector, totals / len(region))
+
+
+@PROPERTY
+@given(signal_with_region(min_length=5))
+def test_cepstra_equal_per_frame_chain(case):
+    x, region = case
+    n_frames = min(len(region) - 2, MAX_CEPSTRAL_FRAMES)
+    buffer = SampleBuffer(x, 16000)
+    try:
+        acc = np.zeros(LPC_ORDER)
+        for i in range(n_frames):
+            start = region.periods[i][0]
+            last_start, last_len = region.periods[i + 2]
+            a, _, _ = levinson_durbin(autocorrelation(x[start : last_start + last_len]))
+            acc += lpc_to_cepstral(a).c
+    except ValueError:
+        with pytest.raises(ValueError):
+            pitch_synchronous_cepstra(buffer, region)
+        return
+    if n_frames < 1:
+        with pytest.raises(ValueError, match="region too short"):
+            pitch_synchronous_cepstra(buffer, region)
+        return
+    np.testing.assert_array_equal(pitch_synchronous_cepstra(buffer, region).c, acc / n_frames)
+
+
+@PROPERTY
+@given(st.integers(0, 2**32 - 1), st.integers(LPC_ORDER + 1, 400))
+def test_levinson_and_cepstra_equal_scalar_loops(seed, n):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.0, n)
+    if seed % 2:  # resonant frames, where rounding differences grow most
+        x = np.sin(2 * np.pi * rng.uniform(0.01, 0.2) * np.arange(n)) + 0.05 * x
+    a, k, err = levinson_durbin(autocorrelation(x))
+    for ours, loop in zip((a, k, err), loop_levinson(autocorrelation(x))):
+        np.testing.assert_array_equal(ours, loop)
+    np.testing.assert_array_equal(lpc_to_cepstral(a).c, loop_cepstra(a))

@@ -87,6 +87,37 @@ class TestTextFormat:
             loaded = load_text_samples(p, 8000)
             np.testing.assert_allclose(loaded.samples, original.samples, atol=1e-6)
 
+    def test_write_matches_savetxt_bytes(self, tmp_path):
+        rng = np.random.default_rng(43)
+        samples = np.concatenate((
+            [-0.0, 0.0, 1e-7, -1e-7, 1e15, -1e15, 32767.0, -32768.0, 3.0, 123456789012345.0],
+            rng.uniform(-32768, 32767, 200),
+            rng.normal(0, 1e-9, 20),
+        ))
+        ours, reference = tmp_path / "ours.txt", tmp_path / "savetxt.txt"
+        write_text_samples(SampleBuffer(samples, 16000), ours)
+        np.savetxt(reference, samples, fmt="%.12g")
+        assert ours.read_bytes() == reference.read_bytes()
+
+    def test_bom_padding_and_blank_lines(self, tmp_path):
+        p = tmp_path / "sig.txt"
+        p.write_bytes(b"\xef\xbb\xbf  1.5 \r\n\r\n\t-2.5\r\n   \r\n7\r\n\r\n")
+        np.testing.assert_array_equal(load_text_samples(p).samples, [1.5, -2.5, 7.0])
+        p.write_bytes(b"\xef\xbb\xbf-3\n 4\n")
+        np.testing.assert_array_equal(load_text_samples(p).samples, [-3.0, 4.0])
+
+    def test_bad_line_number_counts_blank_lines(self, tmp_path):
+        p = tmp_path / "sig.txt"
+        p.write_bytes(b"1\r\n\r\n2\r\nabc\r\n")
+        with pytest.raises(ValueError, match="line 4: not a number: 'abc'"):
+            load_text_samples(p)
+
+    def test_single_line_of_two_numbers_rejected(self, tmp_path):
+        p = tmp_path / "sig.txt"
+        p.write_text("2 3\n")
+        with pytest.raises(ValueError, match="line 1: not a number: '2 3'"):
+            load_text_samples(p)
+
     def test_write_to_unwritable_path(self, tmp_path):
         with pytest.raises(OSError):
             write_text_samples(
