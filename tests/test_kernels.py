@@ -1,85 +1,68 @@
-"""The compiled and numpy kernel paths must agree."""
+"""The retired PSVERIFY_NUMBA flag is inert.
 
+psverify once shipped numba-compiled kernels that PSVERIFY_NUMBA=0 (or
+false/no/off) switched off. The pipeline now has one numpy path, so an
+environment that still sets the flag must get that path with the same
+features, and numba is never loaded.
+"""
+
+import json
 import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import psverify
-from psverify import _kernels
+from psverify.evaluation import synth_vowel
+from psverify.pipeline import utterance_features_from_file
+from psverify.signal_io import write_text_samples
+
+# The flag was read once at import, so only a fresh interpreter can show
+# that it no longer matters. The child must import the very copy of
+# psverify under test, must not find the old kernel module or load numba,
+# and prints its feature vector for the parent to compare bit for bit.
+CHILD = """
+import importlib.util, json, os, sys
+import psverify
+from psverify.pipeline import utterance_features_from_file
+assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
+assert importlib.util.find_spec("psverify._kernels") is None
+features = utterance_features_from_file(sys.argv[2], "a")
+assert "numba" not in sys.modules
+print(json.dumps([float(v).hex() for v in features.vector]))
+"""
 
 
-def random_signals():
-    rng = np.random.default_rng(23)
-    signals = [
-        rng.normal(0, 1, 400),
-        rng.integers(-3, 4, 500).astype(np.float64),  # plateaus and exact zeros
-        np.sin(2 * np.pi * np.arange(1000) / 80),
-        np.zeros(64),
-        np.concatenate((np.zeros(10), np.ones(5), np.zeros(10), -np.ones(7))),
-    ]
-    return signals
+@pytest.fixture(scope="module")
+def utterance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flag") / "a.txt"
+    write_text_samples(synth_vowel(120.0, [(700, 80), (1200, 90)], 0.3, seed=3), path)
+    vector = utterance_features_from_file(path, "a").vector
+    return path, [float(v).hex() for v in vector]
 
 
-needs_numba = pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="numba disabled")
-
-
-@needs_numba
-class TestPathParity:
-    def test_half_peaks(self):
-        for x in random_signals():
-            pol_a, idx_a, val_a = _kernels.half_peaks_numpy(x)
-            pol_b, idx_b, val_b = _kernels.half_peaks_compiled(x)
-            np.testing.assert_array_equal(pol_a, pol_b)
-            np.testing.assert_array_equal(idx_a, idx_b)
-            np.testing.assert_array_equal(val_a, val_b)
-
-    def test_extrema_counts(self):
-        rng = np.random.default_rng(24)
-        for x in random_signals():
-            if len(x) < 3:
-                continue
-            start = int(rng.integers(0, len(x) - 2))
-            stop = int(rng.integers(start + 3, len(x) + 1))
-            assert (_kernels.extrema_counts_numpy(x, start, stop)
-                    == _kernels.extrema_counts_compiled(x, start, stop))
-
-    def test_autocorr(self):
-        rng = np.random.default_rng(25)
-        for _ in range(10):
-            frame = rng.normal(0, 1, int(rng.integers(20, 400)))
-            a = _kernels.autocorr_numpy(frame, 12)
-            b = _kernels.autocorr_compiled(frame, 12)
-            np.testing.assert_allclose(a, b, rtol=1e-12)
-
-
-def test_env_flag_selects_numpy_path():
-    # The flag is read once at import, so only a fresh interpreter can
-    # check it. The child gets the caller's environment with the root of
-    # the package under test first on PYTHONPATH, and must import that very
-    # copy of psverify.
+def run_with_flag(value, utterance):
+    path, expected = utterance
     package_file = os.path.abspath(psverify.__file__)
     package_root = os.path.dirname(os.path.dirname(package_file))
-    env = dict(os.environ, PSVERIFY_NUMBA="0")
+    env = dict(os.environ, PSVERIFY_NUMBA=value)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    code = (
-        "import os, sys, psverify; "
-        "from psverify import _kernels; "
-        "assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__; "
-        "assert not _kernels.NUMBA_ENABLED; "
-        "assert _kernels.half_peaks is _kernels.half_peaks_numpy"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", code, package_file],
+        [sys.executable, "-c", CHILD, package_file, str(path)],
         env=env,
         capture_output=True,
         text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == expected
+
+
+def test_env_flag_selects_numpy_path(utterance):
+    run_with_flag("0", utterance)
 
 
 OFF_FLAGS = list(dict.fromkeys(
@@ -90,13 +73,5 @@ OFF_FLAGS = list(dict.fromkeys(
 
 
 @pytest.mark.parametrize("value", OFF_FLAGS)
-def test_env_flag_off_values_disable_numba(monkeypatch, value):
-    monkeypatch.setenv("PSVERIFY_NUMBA", value)
-    assert _kernels._env_wants_numba() is False
-
-
-def test_env_flag_unset_or_on_wants_numba(monkeypatch):
-    monkeypatch.delenv("PSVERIFY_NUMBA", raising=False)
-    assert _kernels._env_wants_numba() is True
-    monkeypatch.setenv("PSVERIFY_NUMBA", "1")
-    assert _kernels._env_wants_numba() is True
+def test_env_flag_off_values_disable_numba(value, utterance):
+    run_with_flag(value, utterance)
