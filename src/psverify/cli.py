@@ -23,7 +23,7 @@ from .decision import (
     score_against_models,
     verify_claim,
 )
-from .features import VOWELS, extract_utterance_features
+from .features import VOWELS
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -221,9 +221,7 @@ def _score_input(args):
     cfg = _build_config(args)
     weights = _build_weights(args)
     model_set = modeling.load_models(args.models)
-    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
-    marks = pipeline.detect_marks(buffer, cfg)
-    features = extract_utterance_features(buffer, marks, args.vowel)
+    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
     return score_against_models(features, model_set, weights)
 
 

@@ -103,11 +103,16 @@ def score_against_models(
     )
 
 
+def agreed_speaker(cepstral_pick: str, temporal_pick: str) -> str | None:
+    """The agree-or-reject rule: the common pick when the cepstral and
+    temporal nearest speakers agree, None (rejected) when they differ."""
+    return cepstral_pick if cepstral_pick == temporal_pick else None
+
+
 def identify_combined(report: DistanceReport) -> VerificationOutcome:
     """Accept only when the cepstral and temporal nearest speakers agree."""
-    if report.argmin_cepstral == report.argmin_temporal:
-        return VerificationOutcome(True, report.argmin_cepstral)
-    return VerificationOutcome(False)
+    speaker = agreed_speaker(report.argmin_cepstral, report.argmin_temporal)
+    return VerificationOutcome(speaker is not None, speaker)
 
 
 def verify_claim(report: DistanceReport, claimed: str) -> str:

@@ -9,12 +9,13 @@ combined system, with accuracy computed on accepted trials.
 import csv
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .decision import DistanceWeights, identify_combined, score_against_models
+from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
 from .modeling import ModelSet, build_model
 from .pipeline import PipelineConfig, utterance_features_from_file
@@ -61,21 +62,24 @@ class UtteranceOutcome:
     temporal_pick: str
 
     @property
-    def combined_accepted(self) -> bool:
-        return self.cepstral_pick == self.temporal_pick
+    def combined_pick(self) -> str | None:
+        return agreed_speaker(self.cepstral_pick, self.temporal_pick)
 
     @property
-    def combined_pick(self) -> str | None:
-        return self.cepstral_pick if self.combined_accepted else None
+    def combined_accepted(self) -> bool:
+        return self.combined_pick is not None
 
 
 @dataclass(frozen=True)
 class SystemCounts:
+    """Trial counts of one system; `vowel` is None when all vowels are counted."""
+
     total: int
     accepted: int
     correct: int
     wrong: int
     rejected: int
+    vowel: str | None = None
 
     def __post_init__(self):
         if self.correct + self.wrong != self.accepted:
@@ -92,63 +96,39 @@ class SystemCounts:
 
 
 @dataclass(frozen=True)
-class VowelRow:
-    vowel: str
-    total: int
-    rejected: int
-    correct: int
-    wrong: int
-
-    @property
-    def accepted(self) -> int:
-        return self.correct + self.wrong
-
-    @property
-    def accuracy(self) -> float | None:
-        if self.accepted == 0:
-            return None
-        return self.correct / self.accepted
-
-
-@dataclass(frozen=True)
 class EvalReport:
+    """The system rows, the per-vowel combined rows, every scored outcome,
+    and one (path, reason) pair per test entry that failed the pipeline."""
+
     systems: dict
     vowel_rows: tuple
     outcomes: tuple = field(default=())
-
-    def __post_init__(self):
-        for row in self.vowel_rows:
-            if row.accepted + row.rejected != row.total:
-                raise ValueError(f"vowel {row.vowel}: accepted + rejected != total")
+    failed: tuple = field(default=())
 
 
-def aggregate_outcomes(outcomes) -> EvalReport:
+def _tally(outcomes, pick, vowel=None) -> SystemCounts:
+    """Count one system's trials; pick(outcome) is its speaker, None if rejected."""
+    picks = [(pick(o), o.speaker_id) for o in outcomes]
+    total = len(picks)
+    accepted = sum(1 for p, _ in picks if p is not None)
+    correct = sum(1 for p, true in picks if p == true)
+    return SystemCounts(total, accepted, correct, accepted - correct, total - accepted, vowel)
+
+
+def aggregate_outcomes(outcomes, failed=()) -> EvalReport:
     """Fold per-utterance outcomes into the two report tables."""
     outcomes = tuple(outcomes)
-    total = len(outcomes)
-
-    def single_counts(pick):
-        correct = sum(1 for o in outcomes if pick(o) == o.speaker_id)
-        return SystemCounts(total, total, correct, total - correct, 0)
-
-    accepted = [o for o in outcomes if o.combined_accepted]
-    correct = sum(1 for o in accepted if o.combined_pick == o.speaker_id)
+    combined = attrgetter("combined_pick")
     systems = {
-        SYSTEM_CEPSTRAL: single_counts(lambda o: o.cepstral_pick),
-        SYSTEM_TEMPORAL: single_counts(lambda o: o.temporal_pick),
-        SYSTEM_COMBINED: SystemCounts(
-            total, len(accepted), correct, len(accepted) - correct, total - len(accepted)
-        ),
+        SYSTEM_CEPSTRAL: _tally(outcomes, attrgetter("cepstral_pick")),
+        SYSTEM_TEMPORAL: _tally(outcomes, attrgetter("temporal_pick")),
+        SYSTEM_COMBINED: _tally(outcomes, combined),
     }
-    rows = []
-    for vowel in sorted({o.vowel for o in outcomes}):
-        of_vowel = [o for o in outcomes if o.vowel == vowel]
-        acc = [o for o in of_vowel if o.combined_accepted]
-        ok = sum(1 for o in acc if o.combined_pick == o.speaker_id)
-        rows.append(
-            VowelRow(vowel, len(of_vowel), len(of_vowel) - len(acc), ok, len(acc) - ok)
-        )
-    return EvalReport(systems, tuple(rows), outcomes)
+    rows = tuple(
+        _tally([o for o in outcomes if o.vowel == vowel], combined, vowel)
+        for vowel in sorted({o.vowel for o in outcomes})
+    )
+    return EvalReport(systems, rows, outcomes, tuple(failed))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +313,8 @@ def run_evaluation(
 ) -> EvalReport:
     """Score every test entry against the models and aggregate the report.
 
-    Files that fail the pipeline are logged and excluded from the totals.
+    Files that fail the pipeline are logged, left out of the totals and
+    listed in the report's `failed`.
     """
     tests = [e for e in entries if e.split == "test"]
     if not tests:
@@ -343,11 +324,13 @@ def run_evaluation(
     if missing:
         raise ValueError(f"no models for vowels: {', '.join(missing)}")
     outcomes = []
+    failed = []
     for entry in tests:
         try:
             features = utterance_features_from_file(entry.path, entry.vowel, config)
         except (ValueError, OSError) as exc:
             log.warning("skipping %s: %s", entry.path, exc)
+            failed.append((entry.path, str(exc)))
             continue
         report = score_against_models(features, model_set, weights)
         outcomes.append(
@@ -356,7 +339,7 @@ def run_evaluation(
                 report.argmin_cepstral, report.argmin_temporal,
             )
         )
-    return aggregate_outcomes(outcomes)
+    return aggregate_outcomes(outcomes, failed)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +369,10 @@ def format_report(report: EvalReport) -> str:
             f"{row.vowel:<6} {row.total:>6} {row.rejected:>9} {row.correct:>8} "
             f"{row.wrong:>6} {_pct(row.accuracy):>10}"
         )
+    if report.failed:
+        n_failed = len(report.failed)
+        total = report.systems[SYSTEM_COMBINED].total + n_failed
+        lines.extend(["", f"failed: {n_failed} of {total} test files"])
     return "\n".join(lines)
 
 
@@ -410,5 +397,5 @@ def write_report_csv(report: EvalReport, out_dir) -> None:
         writer = csv.writer(fh)
         writer.writerow(["path", "speaker_id", "vowel", "cepstral_pick", "temporal_pick", "combined"])
         for o in report.outcomes:
-            combined = o.combined_pick if o.combined_accepted else "rejected"
+            combined = "rejected" if o.combined_pick is None else o.combined_pick
             writer.writerow([o.path, o.speaker_id, o.vowel, o.cepstral_pick, o.temporal_pick, combined])

@@ -59,7 +59,11 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
 
 
 def load_wav_pcm16(path) -> SampleBuffer:
-    """Read a RIFF/WAVE file; only 16-bit PCM mono is accepted."""
+    """Read a RIFF/WAVE file; only 16-bit PCM mono is accepted.
+
+    A file cut inside its header, or with fewer data bytes than the header
+    announces, is rejected rather than loaded short.
+    """
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wav:
@@ -70,9 +74,15 @@ def load_wav_pcm16(path) -> SampleBuffer:
             if wav.getsampwidth() != 2:
                 raise ValueError(f"{path}: 16-bit required, got {8 * wav.getsampwidth()}-bit")
             rate = wav.getframerate()
-            data = wav.readframes(wav.getnframes())
+            n_frames = wav.getnframes()
+            data = wav.readframes(n_frames)
+    except EOFError:
+        # the wave module's error for a file cut inside its chunk headers
+        raise ValueError(f"{path}: truncated WAV header") from None
     except wave.Error as exc:
         raise ValueError(f"{path}: not a readable PCM WAV file ({exc})") from None
+    if len(data) < 2 * n_frames:
+        raise ValueError(f"{path}: truncated WAV: {len(data) // 2} of {n_frames} frames present")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
     if samples.size == 0:
         raise ValueError(f"{path}: empty signal")

@@ -1,3 +1,5 @@
+import wave
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,19 @@ class TestSignalCommands:
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["pitch-marks", str(tmp_path / "nope.txt")]) == 2
+
+    @pytest.mark.parametrize("size", [30, 44 + 200])
+    def test_truncated_wav_is_data_error(self, vowel_file, tmp_path, capsys, size):
+        samples = load_text_samples(vowel_file).samples
+        path = tmp_path / "cut.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(16000)
+            w.writeframes(samples.astype("<i2").tobytes())
+        path.write_bytes(path.read_bytes()[:size])
+        assert cli.main(["features", str(path)]) == 2
+        assert "truncated WAV" in capsys.readouterr().err
 
 
 class TestRecognitionCommands:

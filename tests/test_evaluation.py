@@ -203,6 +203,18 @@ class TestRunEvaluation:
         combined = first.systems["combined"]
         assert combined.total == 15  # 3 speakers x 5 vowels x 1 test
 
+    def test_failed_file_counted(self, small_corpus, small_models, config, caplog):
+        _, entries = small_corpus
+        tests = [e for e in entries if e.split == "test"]
+        bogus = ManifestEntry("missing_file.txt", tests[0].speaker_id, tests[0].vowel, "test")
+        with caplog.at_level("WARNING"):
+            report = run_evaluation([*entries, bogus], small_models, config)
+        assert [path for path, _ in report.failed] == ["missing_file.txt"]
+        assert "missing_file.txt" in report.failed[0][1]
+        assert report.systems["combined"].total + len(report.failed) == len(tests) + 1
+        assert f"failed: 1 of {len(tests) + 1} test files" in format_report(report)
+        assert "failed" not in format_report(run_evaluation(entries, small_models, config))
+
     def test_missing_vowel_models_rejected(self, small_corpus, config):
         _, entries = small_corpus
         partial = ModelSet()

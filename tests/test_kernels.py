@@ -20,8 +20,9 @@ from psverify.signal_io import write_text_samples
 
 # The flag was read once at import, so only a fresh interpreter can show
 # that it no longer matters. The child must import the very copy of
-# psverify under test, must not find the old kernel module or load numba,
-# and prints its feature vector for the parent to compare bit for bit.
+# psverify under test, must not find the old kernel module or load numba
+# (nor scipy.signal, which only the synthetic fixtures need), and prints
+# its feature vector for the parent to compare bit for bit.
 CHILD = """
 import importlib.util, json, os, sys
 import psverify
@@ -30,6 +31,7 @@ assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
 assert importlib.util.find_spec("psverify._kernels") is None
 features = utterance_features_from_file(sys.argv[2], "a")
 assert "numba" not in sys.modules
+assert "scipy.signal" not in sys.modules
 print(json.dumps([float(v).hex() for v in features.vector]))
 """
 

@@ -1,4 +1,5 @@
-"""Property tests: the vectorized stages against loop oracles."""
+"""Property tests: the vectorized stages against loop oracles, and the
+pipeline and text loader on arbitrary input."""
 
 import numpy as np
 import pytest
@@ -11,13 +12,16 @@ from psverify.features import (
     MAX_CEPSTRAL_FRAMES,
     SteadyStateRegion,
     autocorrelation,
+    extract_utterance_features,
     levinson_durbin,
     lpc_to_cepstral,
     pitch_synchronous_cepstra,
     temporal_features,
 )
+from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
+from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
 from psverify.pitch import extract_half_peaks
-from psverify.signal_io import SampleBuffer
+from psverify.signal_io import SampleBuffer, load_text_samples
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
@@ -127,3 +131,83 @@ def test_levinson_and_cepstra_equal_scalar_loops(seed, n):
     for ours, loop in zip((a, k, err), loop_levinson(autocorrelation(x))):
         np.testing.assert_array_equal(ours, loop)
     np.testing.assert_array_equal(lpc_to_cepstral(a).c, loop_cepstra(a))
+
+
+RATE = 16000
+
+
+@st.composite
+def finite_signals(draw):
+    """1..3000 finite samples: noise, small integers, a constant or a
+    synthetic vowel, scaled by 1e-300..1e300."""
+    n = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(["noise", "integers", "constant", "vowel"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "noise":
+        x = rng.normal(0.0, 1.0, n)
+    elif kind == "integers":
+        x = rng.integers(-3, 4, n).astype(np.float64)
+    elif kind == "constant":
+        x = np.full(n, 1.0)
+    else:
+        vowel = draw(st.sampled_from(sorted(VOWEL_FORMANTS)))
+        f0 = draw(st.floats(60.0, 400.0))
+        x = synth_vowel(f0, VOWEL_FORMANTS[vowel], n / RATE, RATE, seed=int(rng.integers(1000))).samples
+        x = x / max(np.max(np.abs(x)), 1.0)  # peak at most 1, so the scaled signal stays finite
+        x = x + draw(st.sampled_from([0.0, 0.01, 0.3])) * np.max(np.abs(x)) * rng.normal(0.0, 1.0, x.size)
+    return x * 10.0 ** draw(st.integers(-300, 300))
+
+
+@PROPERTY
+@given(finite_signals())
+def test_pipeline_raises_only_value_error(x):
+    buffer = SampleBuffer(x, RATE)
+    try:
+        trimmed = preprocess_signal(buffer)
+        extract_utterance_features(trimmed, detect_marks(trimmed), "a")
+    except ValueError:
+        pass
+
+
+@PROPERTY
+@given(finite_signals())
+def test_marks_increase_within_period_bounds(x):
+    config = PipelineConfig()
+    try:
+        trimmed = preprocess_signal(SampleBuffer(x, RATE), config)
+        marks = detect_marks(trimmed, config).mark_indices
+    except ValueError:
+        return
+    min_period, max_period = config.period_bounds(RATE)
+    gaps = np.diff(marks)
+    assert 0 <= marks[0] and marks[-1] < len(trimmed)
+    assert np.all(gaps > 0)
+    assert np.all((gaps >= min_period) & (gaps <= max_period)), gaps
+
+
+TEXT_TOKENS = [
+    b"0", b"1", b"-2.5", b"+.5e3", b"1e308", b"1e999", b"-inf", b"nan", b"0x1p3", b"1_0",
+    b"2 3", b"x", b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x00", b"\xef\xbb\xbf", b"\xc2\x85",
+    b"\xe2\x80\xa8", b"\xff",
+]
+text_files = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(TEXT_TOKENS), max_size=40).map(b"".join),
+)
+
+
+@pytest.fixture(scope="module")
+def text_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("text") / "signal.txt"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=text_files)
+def test_text_loader_gives_finite_samples_or_value_error(text_path, data):
+    text_path.write_bytes(data)
+    try:
+        buffer = load_text_samples(text_path)
+    except ValueError:
+        return
+    assert buffer.samples.size > 0
+    assert np.all(np.isfinite(buffer.samples))

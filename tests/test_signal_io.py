@@ -165,6 +165,31 @@ class TestWav:
         with pytest.raises(ValueError):
             load_wav_pcm16(p)
 
+    @pytest.mark.parametrize("size", [4, 30])
+    def test_header_cut_rejected(self, tmp_path, size):
+        p = tmp_path / "a.wav"
+        write_wav(p, np.arange(1000) % 100)
+        p.write_bytes(p.read_bytes()[:size])
+        with pytest.raises(ValueError, match="truncated WAV header"):
+            load_wav_pcm16(p)
+
+    def test_data_cut_names_both_counts(self, tmp_path):
+        p = tmp_path / "a.wav"
+        write_wav(p, np.arange(1000) % 100)
+        p.write_bytes(p.read_bytes()[: 44 + 56])  # 44-byte header, 28 frames
+        with pytest.raises(ValueError, match="28 of 1000 frames"):
+            load_wav_pcm16(p)
+
+    def test_every_cut_rejected(self, tmp_path):
+        full = tmp_path / "a.wav"
+        write_wav(full, np.arange(300) % 100)
+        data = full.read_bytes()
+        cut = tmp_path / "cut.wav"
+        for size in range(len(data)):
+            cut.write_bytes(data[:size])
+            with pytest.raises(ValueError):
+                load_wav_pcm16(cut)
+
     def test_dispatch_by_extension(self, tmp_path):
         wav_path = tmp_path / "x.wav"
         write_wav(wav_path, np.arange(100))
