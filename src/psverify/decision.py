@@ -5,6 +5,8 @@ accepted only when both nearest speakers coincide, otherwise it is
 rejected (and, in a verification setting, the speaker is asked to repeat).
 """
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,14 +40,68 @@ class DistanceWeights:
             raise ValueError("all distance weights must be positive")
 
 
+class Distances(Mapping):
+    """Read-only speaker id -> distance map over sorted ids and a parallel
+    float64 array. Iterates in id order; values come out as Python floats."""
+
+    __slots__ = ("_ids", "_values")
+
+    def __init__(self, ids: tuple[str, ...], values):
+        values = np.asarray(values, dtype=np.float64).view()
+        values.flags.writeable = False
+        if values.shape != (len(ids),):
+            raise ValueError(f"{len(ids)} ids but {values.shape} distances")
+        self._ids = ids
+        self._values = values
+
+    @classmethod
+    def from_mapping(cls, distances) -> "Distances":
+        ids = tuple(sorted(distances))
+        return cls(ids, [distances[sid] for sid in ids])
+
+    def _position(self, sid) -> int | None:
+        try:
+            i = bisect_left(self._ids, sid)
+        except TypeError:
+            return None
+        return i if i < len(self._ids) and self._ids[i] == sid else None
+
+    def __getitem__(self, sid) -> float:
+        i = self._position(sid)
+        if i is None:
+            raise KeyError(sid)
+        return self._values.item(i)
+
+    def __contains__(self, sid) -> bool:
+        return self._position(sid) is not None
+
+    def __iter__(self):
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return f"Distances({dict(zip(self._ids, self._values.tolist()))!r})"
+
+
 @dataclass(frozen=True)
 class DistanceReport:
-    """Per-speaker distances for one test utterance, one family at a time."""
+    """Per-speaker distances for one test utterance, one family at a time.
 
-    cepstral_distances: dict
-    temporal_distances: dict
+    Any mapping given for a family is stored as a read-only `Distances`.
+    """
+
+    cepstral_distances: Mapping
+    temporal_distances: Mapping
     argmin_cepstral: str
     argmin_temporal: str
+
+    def __post_init__(self):
+        for name in ("cepstral_distances", "temporal_distances"):
+            distances = getattr(self, name)
+            if not isinstance(distances, Distances):
+                object.__setattr__(self, name, Distances.from_mapping(distances))
 
 
 @dataclass(frozen=True)
@@ -80,7 +136,7 @@ def score_against_models(
 
     The 12-dimensional cepstral distance and the 4-dimensional temporal
     distance are computed and minimized independently, each as one pass
-    over the vowel's cached model matrix; every value equals
+    over the vowel's model matrix; every value equals
     `weighted_distance` against that model up to rounding.
     """
     if weights is None:
@@ -96,8 +152,8 @@ def score_against_models(
     # ids are sorted and argmin takes the first minimum, so ties break
     # towards the lexicographically smallest speaker id
     return DistanceReport(
-        dict(zip(ids, cep.tolist())),
-        dict(zip(ids, tem.tolist())),
+        Distances(ids, cep),
+        Distances(ids, tem),
         ids[int(np.argmin(cep))],
         ids[int(np.argmin(tem))],
     )

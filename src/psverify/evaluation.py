@@ -13,7 +13,6 @@ from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
@@ -155,6 +154,9 @@ def synth_vowel(
     stays exactly round(rate/f0) for oracle use. Optional zero-padding
     surrounds the voiced part with silence.
     """
+    # imported here: scipy.signal alone takes most of a cold `import psverify.cli`
+    from scipy.signal import lfilter
+
     if duration_s <= 0:
         raise ValueError("duration must be positive")
     if not 0 < f0_hz < sample_rate_hz / 2:

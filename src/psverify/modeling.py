@@ -1,10 +1,17 @@
 """Speaker models: per-(speaker, vowel) mean feature vectors and their
-line-oriented persistence format."""
+line-oriented persistence format.
 
+A ModelSet keeps each vowel's models as columns: the speaker ids in
+lexicographic order, a read-only (S, 16) matrix and an utterance-count
+array. `SpeakerModel` is the record that goes in through `add` and comes
+back out of the `models` view.
+"""
+
+import operator
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 
@@ -12,11 +19,33 @@ from .features import UtteranceFeatures, VOWELS
 
 MODEL_DIM = 16
 FORMAT_HEADER = "PSV-MODELS v1"
+_MAX_UTTERANCES = int(np.iinfo(np.int64).max)
+
+# one model line: speaker id, vowel, utterance count, 16 values
+_LINE_FORMAT = "%s %s %d" + " %.12g" * MODEL_DIM
+_LINE_DTYPE = np.dtype([
+    ("sid", object), ("vowel", "U2"), ("n", np.int64), ("values", np.float64, (MODEL_DIM,)),
+])
+# files made only of these bytes are parsed by column; splitting them on
+# "\n" and " " gives the lines and fields that str.splitlines/str.split give
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _check_speaker_id(speaker_id: str) -> None:
+def _model_error(speaker_id: str, vowel: str, values: np.ndarray, n_utterances: int) -> str | None:
+    """The first rule a model breaks, or None."""
     if not speaker_id or any(ch.isspace() for ch in speaker_id):
-        raise ValueError(f"speaker id must be non-empty and contain no whitespace: {speaker_id!r}")
+        return f"speaker id must be non-empty and contain no whitespace: {speaker_id!r}"
+    if vowel not in VOWELS:
+        return f"unknown vowel {vowel!r}"
+    if values.shape != (MODEL_DIM,):
+        return f"model must hold {MODEL_DIM} values, got {values.shape}"
+    if not np.all(np.isfinite(values)):
+        return "model values must be finite"
+    if n_utterances < 1:
+        return f"model needs at least one utterance, got {n_utterances}"
+    if n_utterances > _MAX_UTTERANCES:
+        return f"utterance count {n_utterances} exceeds {_MAX_UTTERANCES}"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,18 +56,24 @@ class SpeakerModel:
     n_utterances: int
 
     def __post_init__(self):
-        _check_speaker_id(self.speaker_id)
-        if self.vowel not in VOWELS:
-            raise ValueError(f"unknown vowel {self.vowel!r}")
         arr = np.array(self.mean_features, dtype=np.float64)
         arr.flags.writeable = False
         object.__setattr__(self, "mean_features", arr)
-        if arr.shape != (MODEL_DIM,):
-            raise ValueError(f"model must hold {MODEL_DIM} values, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("model values must be finite")
-        if self.n_utterances < 1:
-            raise ValueError("model needs at least one utterance")
+        object.__setattr__(self, "n_utterances", operator.index(self.n_utterances))
+        error = _model_error(self.speaker_id, self.vowel, arr, self.n_utterances)
+        if error:
+            raise ValueError(error)
+
+    @classmethod
+    def _of_row(cls, speaker_id: str, vowel: str, row: np.ndarray, n_utterances: int):
+        """A record over one row of a ModelSet's columns, which were
+        validated when they were built: no copy and no checks."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "speaker_id", speaker_id)
+        object.__setattr__(model, "vowel", vowel)
+        object.__setattr__(model, "mean_features", row)
+        object.__setattr__(model, "n_utterances", n_utterances)
+        return model
 
     @property
     def temporal(self) -> np.ndarray:
@@ -49,49 +84,127 @@ class SpeakerModel:
         return self.mean_features[4:]
 
 
-class ModelSet:
-    """Speaker models keyed by (speaker id, vowel).
+class _VowelColumns:
+    """One vowel's models: ids in lexicographic order with their read-only
+    (S, 16) matrix and counts, plus the models added since the last read,
+    which the next read merges in with one sort."""
 
-    `models` is a read-only view and `add` is the only way to write, so the
-    per-vowel scoring tables that `add` invalidates can never go stale.
-    """
+    __slots__ = ("ids", "matrix", "counts", "_rows", "_pending")
+
+    def __init__(self, ids=(), matrix=None, counts=None):
+        self._pending = []
+        self._install(tuple(ids), matrix, counts)
+
+    def _install(self, ids, matrix, counts):
+        self.ids = ids
+        self.matrix = np.empty((0, MODEL_DIM)) if matrix is None else matrix
+        self.counts = np.empty(0, np.int64) if counts is None else counts
+        self.matrix.flags.writeable = self.counts.flags.writeable = False
+        self._rows = dict(zip(ids, range(len(ids))))
+        if len(self._rows) != len(ids):
+            raise ValueError("duplicate speaker id")
+
+    def __contains__(self, sid) -> bool:
+        return sid in self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def add(self, sid: str, values: np.ndarray, n_utterances: int) -> None:
+        self._rows[sid] = None  # row number assigned by the merge
+        self._pending.append((sid, values, n_utterances))
+
+    def merged(self) -> "_VowelColumns":
+        if self._pending:
+            sids, rows, counts = zip(*self._pending)
+            self._pending = []
+            ids = self.ids + sids
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self._install(
+                tuple(ids[i] for i in order),
+                np.concatenate((self.matrix, np.stack(rows)))[order],
+                np.concatenate((self.counts, np.array(counts, dtype=np.int64)))[order],
+            )
+        return self
+
+    def model(self, sid: str, vowel: str) -> SpeakerModel:
+        i = self.merged()._rows[sid]
+        return SpeakerModel._of_row(sid, vowel, self.matrix[i], int(self.counts[i]))
+
+
+class _ModelsView(Mapping):
+    """Read-only (speaker id, vowel) -> SpeakerModel view of a ModelSet.
+    Values are built from the columns on each access."""
+
+    __slots__ = ("_vowels",)
+
+    def __init__(self, vowels: dict):
+        self._vowels = vowels
+
+    def __getitem__(self, key) -> SpeakerModel:
+        if key not in self:
+            raise KeyError(key)
+        sid, vowel = key
+        return self._vowels[vowel].model(sid, vowel)
+
+    def __contains__(self, key) -> bool:
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return False
+        sid, vowel = key
+        columns = self._vowels.get(vowel)
+        return columns is not None and sid in columns
+
+    def __len__(self) -> int:
+        return sum(len(columns) for columns in self._vowels.values())
+
+    def __iter__(self):
+        for vowel, columns in self._vowels.items():
+            for sid in columns.merged().ids:
+                yield sid, vowel
+
+
+class ModelSet:
+    """Speaker models keyed by (speaker id, vowel), stored per vowel as
+    columns. `models` is a read-only view and `add` is the only writer."""
 
     def __init__(self):
-        self._models = {}
-        self._tables = {}
+        self._vowels = {}
 
     @property
-    def models(self) -> MappingProxyType:
+    def models(self) -> Mapping:
         """Read-only view of the models, keyed by (speaker id, vowel)."""
-        return MappingProxyType(self._models)
+        return _ModelsView(self._vowels)
 
     def add(self, model: SpeakerModel) -> None:
-        # one shared id string per speaker keeps the per-trial distance
-        # dicts, keyed by every vowel's table ids, in a small working set
-        key = (sys.intern(model.speaker_id), model.vowel)
-        if key in self._models:
-            raise ValueError(f"duplicate model for {key}")
-        self._models[key] = model
-        self._tables.pop(model.vowel, None)
+        """Queue one model; amortized O(1), merged on the vowel's next read."""
+        columns = self._vowels.get(model.vowel)
+        if columns is None:
+            columns = self._vowels[model.vowel] = _VowelColumns()
+        # one shared id string per speaker across the five vowels
+        sid = sys.intern(model.speaker_id)
+        if sid in columns:
+            raise ValueError(f"duplicate model for {(sid, model.vowel)}")
+        columns.add(sid, model.mean_features, model.n_utterances)
 
     def speakers(self) -> list[str]:
-        return sorted({sid for sid, _ in self._models})
+        return sorted(set().union(*(columns._rows for columns in self._vowels.values())))
+
+    def _columns(self, vowel: str) -> _VowelColumns:
+        columns = self._vowels.get(vowel)
+        return _VowelColumns() if columns is None else columns.merged()
 
     def table(self, vowel: str) -> tuple[tuple[str, ...], np.ndarray]:
         """The vowel's speaker ids in lexicographic order and their models
-        stacked as a read-only (S, 16) matrix; built on first use."""
-        table = self._tables.get(vowel)
-        if table is None:
-            ids = tuple(sorted(sid for sid, v in self._models if v == vowel))
-            rows = [self._models[sid, vowel].mean_features for sid in ids]
-            matrix = np.array(rows, dtype=np.float64).reshape(len(ids), MODEL_DIM)
-            matrix.flags.writeable = False
-            table = self._tables[vowel] = (ids, matrix)
-        return table
+        as a read-only (S, 16) matrix."""
+        columns = self._columns(vowel)
+        return columns.ids, columns.matrix
 
     def for_vowel(self, vowel: str) -> list[SpeakerModel]:
-        ids, _ = self.table(vowel)
-        return [self._models[sid, vowel] for sid in ids]
+        columns = self._columns(vowel)
+        return [
+            SpeakerModel._of_row(sid, vowel, row, n)
+            for sid, row, n in zip(columns.ids, columns.matrix, columns.counts.tolist())
+        ]
 
 
 def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:
@@ -110,21 +223,60 @@ def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:
 
 def save_models(model_set: ModelSet, path) -> None:
     """Write the v1 text format, one model per line, sorted by (speaker, vowel)."""
+    ids, vowels, matrices, counts = [], [], [], []
+    for vowel in sorted(model_set._vowels):
+        columns = model_set._columns(vowel)
+        ids.extend(columns.ids)
+        vowels.extend([vowel] * len(columns.ids))
+        matrices.append(columns.matrix)
+        counts.append(columns.counts)
+    # a stable sort by id keeps each speaker's vowels in sorted order
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    rows = np.concatenate(matrices or [np.empty((0, MODEL_DIM))])[order].tolist()
+    ns = np.concatenate(counts or [np.empty(0, np.int64)])[order].tolist()
     lines = [FORMAT_HEADER]
-    for (sid, vowel), model in sorted(model_set.models.items()):
-        values = " ".join(format(v, ".12g") for v in model.mean_features)
-        lines.append(f"{sid} {vowel} {model.n_utterances} {values}")
+    lines.extend(_LINE_FORMAT % (ids[i], vowels[i], n, *row) for i, n, row in zip(order, ns, rows))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_models(path) -> ModelSet:
-    """Read the v1 text format back, validating layout and key uniqueness."""
+    """Read the v1 text format back, validating layout, values and key
+    uniqueness.
+
+    A file of printable ASCII lines is parsed a column at a time. Any other
+    file, or one the column parse rejects, is read line by line, which
+    accepts the same files and names the line of the first fault.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.splitlines()
+    data = path.read_bytes()
+    if data.isascii() and not data.translate(None, _PLAIN_BYTES):
+        try:
+            return _model_set(*_parse_columns(data.decode("ascii")))
+        except ValueError:
+            pass
+    return _model_set(*_parse_lines(path, data.decode("utf-8").splitlines()))
+
+
+def _parse_columns(text: str):
+    """(ids, vowels, counts, matrix) of a plain model file in one numpy
+    parse, or ValueError without a line number."""
+    header, *body = text.split("\n")
+    if header.strip() != FORMAT_HEADER:
+        raise ValueError("bad header")
+    if not any(line.strip() for line in body):
+        return [], np.empty(0, str), np.empty(0, np.int64), np.empty((0, MODEL_DIM))
+    # blank lines are skipped; every other line must hold exactly 19 fields
+    lines = np.loadtxt(body, dtype=_LINE_DTYPE, comments=None, ndmin=1)
+    return lines["sid"].tolist(), lines["vowel"], lines["n"], lines["values"]
+
+
+def _parse_lines(path: Path, lines: list[str]):
+    """(ids, vowels, counts, matrix) read one line at a time, or a
+    ValueError naming the first line that breaks a rule."""
     if not lines or lines[0].strip() != FORMAT_HEADER:
         raise ValueError(f"{path}: expected header {FORMAT_HEADER!r}")
-    model_set = ModelSet()
+    ids, vowels, counts, rows = [], [], [], []
+    seen = set()
     for lineno, line in enumerate(lines[1:], 2):
         if not line.strip():
             continue
@@ -139,7 +291,35 @@ def load_models(path) -> ModelSet:
             values = np.array([float(t) for t in tokens[3:]])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed number") from None
-        if (sid, vowel) in model_set.models:
+        if (sid, vowel) in seen:
             raise ValueError(f"{path}: line {lineno}: duplicate model for ({sid}, {vowel})")
-        model_set.add(SpeakerModel(sid, vowel, values, n))
+        seen.add((sid, vowel))
+        error = _model_error(sid, vowel, values, n)
+        if error:
+            raise ValueError(f"{path}: line {lineno}: {error}")
+        ids.append(sid)
+        vowels.append(vowel)
+        counts.append(n)
+        rows.append(values)
+    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), MODEL_DIM)
+    return ids, np.array(vowels, dtype=str), np.array(counts, dtype=np.int64), matrix
+
+
+def _model_set(ids: list[str], vowels: np.ndarray, counts: np.ndarray, matrix: np.ndarray) -> ModelSet:
+    """A ModelSet from parallel per-model columns in any order, or
+    ValueError if a row breaks a model rule or a key repeats."""
+    if not (np.isfinite(matrix).all() and (counts >= 1).all()):
+        raise ValueError("model values must be finite and counts at least 1")
+    model_set = ModelSet()
+    grouped = 0
+    for vowel in VOWELS:
+        rows = np.flatnonzero(vowels == vowel).tolist()
+        if rows:
+            grouped += len(rows)
+            order = sorted(rows, key=ids.__getitem__)
+            model_set._vowels[vowel] = _VowelColumns(
+                [sys.intern(ids[i]) for i in order], matrix[order], counts[order]
+            )
+    if grouped != len(ids):
+        raise ValueError("unknown vowel")
     return model_set

@@ -53,9 +53,11 @@ def normalize_peak(buffer: SampleBuffer, target: float = NORMALIZATION_TARGET) -
     if target <= 0:
         raise ValueError("normalization target must be positive")
     peak = float(np.max(np.abs(buffer.samples)))
-    if peak == 0.0:
-        raise ValueError("silent signal: cannot normalize all-zero samples")
-    return SampleBuffer(buffer.samples * (target / peak), buffer.sample_rate_hz)
+    scale = target / peak if peak else np.inf
+    if not np.isfinite(scale):
+        # all zeros, or a subnormal residue whose reciprocal overflows
+        raise ValueError(f"silent signal: cannot normalize samples peaking at {peak:g}")
+    return SampleBuffer(buffer.samples * scale, buffer.sample_rate_hz)
 
 
 def energy_profile(

@@ -1,4 +1,5 @@
-"""The retired PSVERIFY_NUMBA flag is inert.
+"""The retired PSVERIFY_NUMBA flag is inert, and the command line loads
+no module it does not need.
 
 psverify once shipped numba-compiled kernels that PSVERIFY_NUMBA=0 (or
 false/no/off) switched off. The pipeline now has one numpy path, so an
@@ -44,23 +45,44 @@ def utterance(tmp_path_factory):
     return path, [float(v).hex() for v in vector]
 
 
-def run_with_flag(value, utterance):
-    path, expected = utterance
+# scipy.signal is most of a cold `import psverify.cli`; only the synthetic
+# corpus generator may load it, on first use
+CLI_CHILD = """
+import os, sys
+import psverify.cli
+assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
+assert "scipy.signal" not in sys.modules
+"""
+
+
+def run_child(source, *args, **env_extra):
+    """Run `source` in a fresh interpreter that imports the psverify under
+    test; argv[1] is that package's __init__ path. Returns stdout."""
     package_file = os.path.abspath(psverify.__file__)
     package_root = os.path.dirname(os.path.dirname(package_file))
-    env = dict(os.environ, PSVERIFY_NUMBA=value)
+    env = dict(os.environ, **env_extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, package_file, str(path)],
+        [sys.executable, "-c", source, package_file, *args],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == expected
+    return proc.stdout
+
+
+def run_with_flag(value, utterance):
+    path, expected = utterance
+    stdout = run_child(CHILD, str(path), PSVERIFY_NUMBA=value)
+    assert json.loads(stdout) == expected
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    run_child(CLI_CHILD)
 
 
 def test_env_flag_selects_numpy_path(utterance):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psverify.features import CepstralVector, TemporalFeatures, UtteranceFeatures
+from helpers import reference_model_text
+from psverify.features import VOWELS, CepstralVector, TemporalFeatures, UtteranceFeatures
 from psverify.modeling import ModelSet, SpeakerModel, build_model, load_models, save_models
 
 
@@ -129,6 +132,55 @@ class TestPersistence:
         with pytest.raises(ValueError, match="line 2"):
             load_models(p)
 
+    @staticmethod
+    def two_line_file(path, second):
+        good = "spk a 3 " + " ".join(["1.0"] * 16)
+        path.write_text(f"PSV-MODELS v1\n{good}\n\n{second}\n")
+        return path
+
+    def test_unknown_vowel_reports_line(self, tmp_path):
+        p = self.two_line_file(tmp_path / "models.txt", "spk y 3 " + " ".join(["1.0"] * 16))
+        with pytest.raises(ValueError, match="line 4: unknown vowel 'y'"):
+            load_models(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, bad):
+        p = self.two_line_file(tmp_path / "models.txt", "spk e 3 " + " ".join(["1.0"] * 15 + [bad]))
+        with pytest.raises(ValueError, match="line 4: model values must be finite"):
+            load_models(p)
+
+    @pytest.mark.parametrize("count", ["0", "-2", str(2**63)])
+    def test_bad_count_reports_line(self, tmp_path, count):
+        p = self.two_line_file(tmp_path / "models.txt", f"spk e {count} " + " ".join(["1.0"] * 16))
+        with pytest.raises(ValueError, match="line 4: (model needs at least one|utterance count)"):
+            load_models(p)
+
+    def test_irregular_layout_reads_like_plain(self, tmp_path):
+        # tabs, CRLF line ends and underscores in numbers take the line reader
+        plain, irregular = tmp_path / "plain.txt", tmp_path / "irregular.txt"
+        save_models(random_model_set(np.random.default_rng(11)), plain)
+        lines = plain.read_text().splitlines()
+        lines[1] = lines[1].replace(" ", "\t", 2)
+        tokens = lines[2].split()
+        i = next(i for i in range(len(tokens[3])) if tokens[3][i : i + 2].isdigit())
+        tokens[3] = tokens[3][: i + 1] + "_" + tokens[3][i + 1 :]
+        lines[2] = " ".join(tokens)
+        irregular.write_bytes(("\r\n".join(lines) + "\r\n\r\n").encode())
+        a, b = load_models(plain), load_models(irregular)
+        for vowel in VOWELS:
+            assert a.table(vowel)[0] == b.table(vowel)[0]
+            assert a.table(vowel)[1].tobytes() == b.table(vowel)[1].tobytes()
+
+    def test_load_builds_no_speaker_models(self, tmp_path, monkeypatch):
+        p = tmp_path / "models.txt"
+        save_models(random_model_set(np.random.default_rng(12)), p)
+
+        def refuse(self):
+            raise AssertionError("load_models built a SpeakerModel")
+
+        monkeypatch.setattr(SpeakerModel, "__post_init__", refuse)
+        assert len(load_models(p).models) == 15
+
 
 class TestModelValidation:
     def test_speaker_id_no_whitespace(self):
@@ -144,3 +196,92 @@ class TestModelValidation:
         model_set.add(SpeakerModel("spk", "a", np.zeros(16), 1))
         with pytest.raises(ValueError, match="duplicate"):
             model_set.add(SpeakerModel("spk", "a", np.ones(16), 1))
+
+
+class TestColumns:
+    def test_models_view_builds_fresh_values(self):
+        model_set = random_model_set(np.random.default_rng(13), 2)
+        first, second = model_set.models["s00", "a"], model_set.models["s00", "a"]
+        assert first is not second
+        np.testing.assert_array_equal(first.mean_features, second.mean_features)
+        assert ("s00", "a") in model_set.models
+        assert ("s00", "y") not in model_set.models and "s00" not in model_set.models
+        with pytest.raises(KeyError):
+            model_set.models["s09", "a"]
+
+    def test_for_vowel_and_speakers_follow_table(self):
+        model_set = ModelSet()
+        for sid in ("s9", "s10", "s1"):
+            model_set.add(SpeakerModel(sid, "o", np.full(16, len(sid)), len(sid)))
+        ids, matrix = model_set.table("o")
+        assert ids == ("s1", "s10", "s9")
+        assert [m.speaker_id for m in model_set.for_vowel("o")] == list(ids)
+        assert [m.n_utterances for m in model_set.for_vowel("o")] == [2, 3, 2]
+        np.testing.assert_array_equal(matrix[:, 0], [2.0, 3.0, 2.0])
+        assert model_set.speakers() == ["s1", "s10", "s9"]
+        assert model_set.table("u")[0] == ()
+
+    def test_count_must_be_an_integer(self):
+        with pytest.raises(TypeError):
+            SpeakerModel("spk", "a", np.zeros(16), 2.0)
+
+
+# signed zero and exponent boundaries are where ".12g" text is easy to get wrong
+EDGE_VALUES = (-0.0, 0.0, 1e-7, -1e-7, 1e15, 1e16, 1.0 / 3, 123456789012.5, 5e-324)
+model_values = st.one_of(
+    st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def model_records(draw):
+    """(sid, vowel, count, 16 values) for 1-40 speakers with random vowel
+    subsets, in shuffled order. Ids share characters so that lexicographic
+    order differs from numeric order."""
+    ids = draw(st.lists(
+        st.text("s019_", min_size=1, max_size=3), min_size=1, max_size=40, unique=True
+    ))
+    records = []
+    for sid in ids:
+        for vowel in sorted(draw(st.sets(st.sampled_from(VOWELS), min_size=1))):
+            values = draw(st.lists(model_values, min_size=16, max_size=16))
+            records.append((sid, vowel, draw(st.integers(1, 2**63 - 1)), values))
+    return draw(st.permutations(records))
+
+
+def model_set_of(records):
+    model_set = ModelSet()
+    for sid, vowel, n, values in records:
+        model_set.add(SpeakerModel(sid, vowel, values, n))
+    return model_set
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "models.txt"
+
+
+COLUMN_PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@COLUMN_PROPERTY
+@given(model_records())
+def test_save_bytes_equal_reference_writer(model_path, records):
+    save_models(model_set_of(records), model_path)
+    assert model_path.read_bytes() == reference_model_text(records).encode()
+
+
+@COLUMN_PROPERTY
+@given(model_records())
+def test_load_restores_ids_counts_and_rounded_values(model_path, records):
+    model_set = model_set_of(records)
+    save_models(model_set, model_path)
+    loaded = load_models(model_path)
+    assert loaded.speakers() == model_set.speakers()
+    for vowel in VOWELS:
+        want = sorted((r for r in records if r[1] == vowel), key=lambda r: r[0])
+        ids, matrix = loaded.table(vowel)
+        assert ids == model_set.table(vowel)[0] == tuple(r[0] for r in want)
+        assert [m.n_utterances for m in loaded.for_vowel(vowel)] == [r[2] for r in want]
+        rounded = np.array([[float(format(v, ".12g")) for v in r[3]] for r in want])
+        assert matrix.tobytes() == rounded.reshape(len(want), 16).tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psverify.pipeline import preprocess_signal
 from psverify.preprocess import (
     FramePlan,
     energy_profile,
@@ -51,6 +52,16 @@ class TestNormalizePeak:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="silent"):
             normalize_peak(buf([0, 0, 0]))
+
+    def test_subnormal_peak_rejected_as_silent(self):
+        # target / peak overflows to inf for a subnormal peak
+        with pytest.raises(ValueError, match="silent signal"):
+            normalize_peak(buf([0.0, 3e-316, -1e-320]))
+
+    def test_subnormal_dc_residue_is_silent(self):
+        # removing the DC of a constant 1e-300 leaves residues near 3e-316
+        with pytest.raises(ValueError, match="silent signal"):
+            preprocess_signal(buf(np.full(970, 1e-300)))
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)

@@ -1,16 +1,33 @@
-"""Property tests: the vectorized stages against loop oracles, and the
-pipeline and text loader on arbitrary input."""
+"""Property tests: the vectorized stages against loop oracles, the
+pipeline and the text loaders on arbitrary input, and the array-backed
+distance report against plain dicts."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_extrema, brute_half_peaks, loop_cepstra, loop_levinson
+from helpers import (
+    brute_argmin,
+    brute_extrema,
+    brute_half_peaks,
+    loop_cepstra,
+    loop_levinson,
+    reference_load_models,
+)
+from psverify.decision import (
+    DistanceReport,
+    DistanceWeights,
+    score_against_models,
+    weighted_distance,
+)
 from psverify.features import (
     LPC_ORDER,
     MAX_CEPSTRAL_FRAMES,
+    CepstralVector,
     SteadyStateRegion,
+    TemporalFeatures,
+    UtteranceFeatures,
     autocorrelation,
     extract_utterance_features,
     levinson_durbin,
@@ -19,6 +36,7 @@ from psverify.features import (
     temporal_features,
 )
 from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
+from psverify.modeling import ModelSet, SpeakerModel, load_models
 from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
 from psverify.pitch import extract_half_peaks
 from psverify.signal_io import SampleBuffer, load_text_samples
@@ -211,3 +229,121 @@ def test_text_loader_gives_finite_samples_or_value_error(text_path, data):
         return
     assert buffer.samples.size > 0
     assert np.all(np.isfinite(buffer.samples))
+
+
+# model-file fields: tokens both readers take, tokens that break a rule,
+# and tokens (underscores) and separators (tab, form feed, U+2028) that only
+# str.split, int and float take
+GOOD_TOKENS = (
+    ["s1", "s2", "s3", "s10", "s9", "#x", "d_0"],
+    ["a", "e", "u"],
+    ["1", "3", "+4", "007"],
+    ["1.5", "-0", "1e-7", "1e15", ".5", "1.", "-2.25"],
+)
+BAD_TOKENS = (
+    ["d\u00e9"],
+    ["y", "aa"],
+    ["0", "-2", "3.0", "99999999999999999999", "1_0"],
+    ["nan", "-inf", "2e400", "0x10", "oops", "2.1_5"],
+)
+IRREGULAR_SEPARATORS = ["\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@st.composite
+def model_lines(draw):
+    tokens = [draw(st.sampled_from(pool)) for pool in GOOD_TOKENS[:3]]
+    tokens += draw(st.lists(st.sampled_from(GOOD_TOKENS[3]), min_size=16, max_size=16))
+    separators = [" "] * 18
+    fault = draw(st.integers(0, 11))
+    if fault == 6:
+        i = draw(st.integers(0, 18))
+        tokens[i] = draw(st.sampled_from(BAD_TOKENS[min(i, 3)]))
+    elif fault == 7:
+        del tokens[draw(st.integers(0, 18))]
+    elif fault == 8:
+        return draw(st.sampled_from(["", "   "]))
+    elif fault == 9:
+        separators[draw(st.integers(0, 17))] = draw(st.sampled_from(IRREGULAR_SEPARATORS))
+    elif fault == 10:
+        separators = [draw(st.sampled_from(IRREGULAR_SEPARATORS))] * 18
+    elif fault == 11:
+        separators = ["  "] * 18
+    return tokens[0] + "".join(sep + t for sep, t in zip(separators, tokens[1:]))
+
+
+model_files = st.tuples(
+    st.sampled_from(["PSV-MODELS v1"] * 4 + [" PSV-MODELS v1 ", "PSV-MODELS v2"]),
+    st.lists(model_lines(), max_size=6),
+    st.sampled_from(["\n"] * 8 + ["\r\n", "\r"]),
+).map(lambda f: (f[2].join([f[0], *f[1]]) + f[2]).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("models") / "models.txt"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=model_files)
+def test_model_loader_agrees_with_line_oracle(model_path, data):
+    model_path.write_bytes(data)
+    try:
+        expected = reference_load_models(data)
+    except ValueError as fault:
+        (lineno,) = fault.args
+        with pytest.raises(ValueError, match=f"line {lineno}:" if lineno else "header"):
+            load_models(model_path)
+        return
+    loaded = load_models(model_path)
+    assert set(loaded.models) == set(expected)
+    for key, (n, values) in expected.items():
+        model = loaded.models[key]
+        assert model.n_utterances == n
+        assert model.mean_features.tobytes() == np.array(values).tobytes()
+
+
+@st.composite
+def scored_sets(draw):
+    """Quarter-integer models for 1-40 speakers, so every distance is exact
+    whatever the summation order, and a test vector."""
+    quarters = st.integers(-12, 12).map(lambda k: k / 4)
+    ids = draw(st.lists(
+        st.text("s019_", min_size=1, max_size=3), min_size=1, max_size=40, unique=True
+    ))
+    model_set = ModelSet()
+    for sid in draw(st.permutations(ids)):
+        vector = draw(st.lists(quarters, min_size=16, max_size=16))
+        model_set.add(SpeakerModel(sid, "a", vector, 1))
+    test = np.array(draw(st.lists(quarters, min_size=16, max_size=16)))
+    return model_set, test
+
+
+@PROPERTY
+@given(scored_sets())
+def test_array_report_equals_dict_report(case):
+    model_set, vector = case
+    feats = UtteranceFeatures(
+        TemporalFeatures(*np.abs(vector[:4])), CepstralVector(vector[4:]), "a"
+    )
+    report = score_against_models(feats, model_set)
+    ids, matrix = model_set.table("a")
+    weights = DistanceWeights()
+    # dicts filled in reverse id order: the report must not depend on it
+    rows = list(zip(ids, matrix))[::-1]
+    cep = {sid: weighted_distance(feats.cepstral.c, row[4:], weights.cepstral_weights)
+           for sid, row in rows}
+    tem = {sid: weighted_distance(feats.temporal.vector, row[:4], weights.temporal_weights)
+           for sid, row in rows}
+    built = DistanceReport(cep, tem, brute_argmin(cep), brute_argmin(tem))
+    assert report == built and built == report
+    for got in (report, built):
+        for distances in (got.cepstral_distances, got.temporal_distances):
+            assert list(distances) == list(ids) and len(distances) == len(ids)
+            assert all(type(distances[sid]) is float for sid in ids)
+            assert "zz" not in distances and 3 not in distances
+            with pytest.raises(TypeError):
+                distances[ids[0]] = 0.0
+            with pytest.raises(TypeError):
+                del distances[ids[0]]
+    cep[ids[0]] = -1.0
+    assert built.cepstral_distances[ids[0]] != -1.0
