@@ -211,9 +211,13 @@ def _cmd_features(args) -> int:
 def _cmd_enroll(args) -> int:
     cfg = _build_config(args)
     entries = evaluation.load_manifest(args.manifest)
-    model_set = evaluation.run_training(entries, cfg)
+    failed = []
+    model_set = evaluation.run_training(entries, cfg, failed)
     modeling.save_models(model_set, args.out)
     print(f"enrolled {len(model_set.models)} models to {args.out}")
+    if failed:
+        n_train = sum(entry.split == "train" for entry in entries)
+        print(f"failed: {len(failed)} of {n_train} train files")
     return 0
 
 
@@ -227,7 +231,7 @@ def _score_input(args):
 
 def _print_distance_table(report) -> None:
     print(f"{'speaker':<12} {'cepstral':>14} {'temporal':>14}")
-    for sid in sorted(report.cepstral_distances):
+    for sid in report.cepstral_distances:
         print(
             f"{sid:<12} {report.cepstral_distances[sid]:>14.6g} "
             f"{report.temporal_distances[sid]:>14.6g}"

@@ -5,7 +5,6 @@ accepted only when both nearest speakers coincide, otherwise it is
 rejected (and, in a verification setting, the speaker is asked to repeat).
 """
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -36,44 +35,26 @@ class DistanceWeights:
         object.__setattr__(self, "temporal_weights", tem)
         if cep.shape != (12,) or tem.shape != (4,):
             raise ValueError("need 12 cepstral and 4 temporal weights")
-        if np.any(cep <= 0) or np.any(tem <= 0):
-            raise ValueError("all distance weights must be positive")
+        if not (np.all((0 < cep) & (cep < np.inf)) and np.all((0 < tem) & (tem < np.inf))):
+            raise ValueError("all distance weights must be finite and positive")
 
 
 class Distances(Mapping):
     """Read-only speaker id -> distance map over sorted ids and a parallel
-    float64 array. Iterates in id order; values come out as Python floats."""
+    float64 array. Iterates in id order; values come out as Python floats.
+    The id -> value dict behind lookups is built on the first one."""
 
-    __slots__ = ("_ids", "_values")
+    __slots__ = ("_ids", "_values", "_lookup")
 
-    def __init__(self, ids: tuple[str, ...], values):
-        values = np.asarray(values, dtype=np.float64).view()
-        values.flags.writeable = False
-        if values.shape != (len(ids),):
-            raise ValueError(f"{len(ids)} ids but {values.shape} distances")
+    def __init__(self, ids: tuple[str, ...], values: np.ndarray):
         self._ids = ids
         self._values = values
-
-    @classmethod
-    def from_mapping(cls, distances) -> "Distances":
-        ids = tuple(sorted(distances))
-        return cls(ids, [distances[sid] for sid in ids])
-
-    def _position(self, sid) -> int | None:
-        try:
-            i = bisect_left(self._ids, sid)
-        except TypeError:
-            return None
-        return i if i < len(self._ids) and self._ids[i] == sid else None
+        self._lookup = None
 
     def __getitem__(self, sid) -> float:
-        i = self._position(sid)
-        if i is None:
-            raise KeyError(sid)
-        return self._values.item(i)
-
-    def __contains__(self, sid) -> bool:
-        return self._position(sid) is not None
+        if self._lookup is None:
+            self._lookup = dict(zip(self._ids, self._values.tolist()))
+        return self._lookup[sid]
 
     def __iter__(self):
         return iter(self._ids)
@@ -82,14 +63,14 @@ class Distances(Mapping):
         return len(self._ids)
 
     def __repr__(self) -> str:
-        return f"Distances({dict(zip(self._ids, self._values.tolist()))!r})"
+        return f"Distances({dict(self)!r})"
 
 
 @dataclass(frozen=True)
 class DistanceReport:
     """Per-speaker distances for one test utterance, one family at a time.
 
-    Any mapping given for a family is stored as a read-only `Distances`.
+    Any mapping given for a family is stored as a `Distances`.
     """
 
     cepstral_distances: Mapping
@@ -101,7 +82,9 @@ class DistanceReport:
         for name in ("cepstral_distances", "temporal_distances"):
             distances = getattr(self, name)
             if not isinstance(distances, Distances):
-                object.__setattr__(self, name, Distances.from_mapping(distances))
+                ids = tuple(sorted(distances))
+                values = np.array([distances[sid] for sid in ids], dtype=np.float64)
+                object.__setattr__(self, name, Distances(ids, values))
 
 
 @dataclass(frozen=True)

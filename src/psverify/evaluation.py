@@ -280,12 +280,29 @@ def load_manifest(path) -> list[ManifestEntry]:
 # ---------------------------------------------------------------------------
 # batch runs
 
-def run_training(entries, config: PipelineConfig = PipelineConfig()) -> ModelSet:
+def _features_of(entries, config: PipelineConfig, failed: list):
+    """(entry, features) for each entry the pipeline accepts; each file it
+    refuses is logged and recorded in `failed` as (path, reason)."""
+    for entry in entries:
+        try:
+            features = utterance_features_from_file(entry.path, entry.vowel, config)
+        except (ValueError, OSError) as exc:
+            log.warning("skipping %s: %s", entry.path, exc)
+            failed.append((entry.path, str(exc)))
+        else:
+            yield entry, features
+
+
+def run_training(
+    entries, config: PipelineConfig = PipelineConfig(), failed: list | None = None
+) -> ModelSet:
     """Full pipeline on every train entry, then one model per (speaker, vowel).
 
-    Individual file failures are logged and skipped; a (speaker, vowel)
-    group with no surviving utterance aborts training.
+    Individual file failures are logged, skipped and, when `failed` is a
+    list, appended to it as (path, reason); a (speaker, vowel) group with
+    no surviving utterance aborts training.
     """
+    failed = [] if failed is None else failed
     groups = {}
     for entry in entries:
         if entry.split != "train":
@@ -295,12 +312,7 @@ def run_training(entries, config: PipelineConfig = PipelineConfig()) -> ModelSet
         raise ValueError("manifest has no train entries")
     model_set = ModelSet()
     for (sid, vowel), group in sorted(groups.items()):
-        features = []
-        for entry in group:
-            try:
-                features.append(utterance_features_from_file(entry.path, vowel, config))
-            except (ValueError, OSError) as exc:
-                log.warning("skipping %s: %s", entry.path, exc)
+        features = [f for _, f in _features_of(group, config, failed)]
         if not features:
             raise ValueError(f"no usable training utterances for ({sid}, {vowel})")
         model_set.add(build_model(sid, vowel, features))
@@ -321,19 +333,12 @@ def run_evaluation(
     tests = [e for e in entries if e.split == "test"]
     if not tests:
         raise ValueError("manifest has no test entries")
-    modeled_vowels = {v for _, v in model_set.models}
-    missing = sorted({e.vowel for e in tests} - modeled_vowels)
+    missing = sorted(v for v in {e.vowel for e in tests} if not model_set.table(v)[0])
     if missing:
         raise ValueError(f"no models for vowels: {', '.join(missing)}")
     outcomes = []
     failed = []
-    for entry in tests:
-        try:
-            features = utterance_features_from_file(entry.path, entry.vowel, config)
-        except (ValueError, OSError) as exc:
-            log.warning("skipping %s: %s", entry.path, exc)
-            failed.append((entry.path, str(exc)))
-            continue
+    for entry, features in _features_of(tests, config, failed):
         report = score_against_models(features, model_set, weights)
         outcomes.append(
             UtteranceOutcome(

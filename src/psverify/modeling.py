@@ -84,126 +84,103 @@ class SpeakerModel:
         return self.mean_features[4:]
 
 
-class _VowelColumns:
-    """One vowel's models: ids in lexicographic order with their read-only
-    (S, 16) matrix and counts, plus the models added since the last read,
-    which the next read merges in with one sort."""
-
-    __slots__ = ("ids", "matrix", "counts", "_rows", "_pending")
-
-    def __init__(self, ids=(), matrix=None, counts=None):
-        self._pending = []
-        self._install(tuple(ids), matrix, counts)
-
-    def _install(self, ids, matrix, counts):
-        self.ids = ids
-        self.matrix = np.empty((0, MODEL_DIM)) if matrix is None else matrix
-        self.counts = np.empty(0, np.int64) if counts is None else counts
-        self.matrix.flags.writeable = self.counts.flags.writeable = False
-        self._rows = dict(zip(ids, range(len(ids))))
-        if len(self._rows) != len(ids):
-            raise ValueError("duplicate speaker id")
-
-    def __contains__(self, sid) -> bool:
-        return sid in self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def add(self, sid: str, values: np.ndarray, n_utterances: int) -> None:
-        self._rows[sid] = None  # row number assigned by the merge
-        self._pending.append((sid, values, n_utterances))
-
-    def merged(self) -> "_VowelColumns":
-        if self._pending:
-            sids, rows, counts = zip(*self._pending)
-            self._pending = []
-            ids = self.ids + sids
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            self._install(
-                tuple(ids[i] for i in order),
-                np.concatenate((self.matrix, np.stack(rows)))[order],
-                np.concatenate((self.counts, np.array(counts, dtype=np.int64)))[order],
-            )
-        return self
-
-    def model(self, sid: str, vowel: str) -> SpeakerModel:
-        i = self.merged()._rows[sid]
-        return SpeakerModel._of_row(sid, vowel, self.matrix[i], int(self.counts[i]))
+_NO_COLUMNS = ((), np.empty((0, MODEL_DIM)), np.empty(0, np.int64))
 
 
 class _ModelsView(Mapping):
     """Read-only (speaker id, vowel) -> SpeakerModel view of a ModelSet.
     Values are built from the columns on each access."""
 
-    __slots__ = ("_vowels",)
+    __slots__ = ("_set",)
 
-    def __init__(self, vowels: dict):
-        self._vowels = vowels
+    def __init__(self, model_set: "ModelSet"):
+        self._set = model_set
 
     def __getitem__(self, key) -> SpeakerModel:
         if key not in self:
             raise KeyError(key)
         sid, vowel = key
-        return self._vowels[vowel].model(sid, vowel)
+        ids, matrix, counts = self._set._read(vowel)
+        i = self._set._rows[vowel][sid]
+        return SpeakerModel._of_row(ids[i], vowel, matrix[i], int(counts[i]))
 
     def __contains__(self, key) -> bool:
         if not (isinstance(key, tuple) and len(key) == 2):
             return False
         sid, vowel = key
-        columns = self._vowels.get(vowel)
-        return columns is not None and sid in columns
+        return sid in self._set._rows.get(vowel, ())
 
     def __len__(self) -> int:
-        return sum(len(columns) for columns in self._vowels.values())
+        return sum(map(len, self._set._rows.values()))
 
     def __iter__(self):
-        for vowel, columns in self._vowels.items():
-            for sid in columns.merged().ids:
+        for vowel in self._set._rows:
+            for sid in self._set._read(vowel)[0]:
                 yield sid, vowel
 
 
 class ModelSet:
     """Speaker models keyed by (speaker id, vowel), stored per vowel as
-    columns. `models` is a read-only view and `add` is the only writer."""
+    columns. `add` is the only writer: it queues the model, and the
+    vowel's next read merges the queue in with one sort."""
 
     def __init__(self):
-        self._vowels = {}
+        self._columns = {}  # vowel -> (ids, matrix, counts)
+        self._rows = {}  # vowel -> {speaker id: row, or None while queued}
+        self._queued = {}  # vowel -> [(speaker id, values, count)]
 
     @property
     def models(self) -> Mapping:
         """Read-only view of the models, keyed by (speaker id, vowel)."""
-        return _ModelsView(self._vowels)
+        return _ModelsView(self)
 
     def add(self, model: SpeakerModel) -> None:
-        """Queue one model; amortized O(1), merged on the vowel's next read."""
-        columns = self._vowels.get(model.vowel)
-        if columns is None:
-            columns = self._vowels[model.vowel] = _VowelColumns()
+        """Queue one model; amortized O(1)."""
         # one shared id string per speaker across the five vowels
         sid = sys.intern(model.speaker_id)
-        if sid in columns:
+        rows = self._rows.setdefault(model.vowel, {})
+        if sid in rows:
             raise ValueError(f"duplicate model for {(sid, model.vowel)}")
-        columns.add(sid, model.mean_features, model.n_utterances)
+        rows[sid] = None
+        self._queued.setdefault(model.vowel, []).append((sid, model.mean_features, model.n_utterances))
+
+    def _merge(self, vowel: str, ids, matrix: np.ndarray, counts: np.ndarray) -> None:
+        """Merge new columns, in any order, into the vowel's; ValueError if
+        an id repeats."""
+        old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
+        ids = old_ids + tuple(ids)
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        ids = tuple(ids[i] for i in order)
+        matrix = np.concatenate((old_matrix, matrix))[order]
+        counts = np.concatenate((old_counts, counts))[order]
+        matrix.flags.writeable = counts.flags.writeable = False
+        rows = dict(zip(ids, range(len(ids))))
+        if len(rows) != len(ids):
+            raise ValueError("duplicate speaker id")
+        self._columns[vowel] = ids, matrix, counts
+        self._rows[vowel] = rows
+
+    def _read(self, vowel: str):
+        """The vowel's (ids, matrix, counts), queued models merged in."""
+        queued = self._queued.pop(vowel, None)
+        if queued:
+            ids, rows, counts = zip(*queued)
+            self._merge(vowel, ids, np.stack(rows), np.array(counts, dtype=np.int64))
+        return self._columns.get(vowel, _NO_COLUMNS)
 
     def speakers(self) -> list[str]:
-        return sorted(set().union(*(columns._rows for columns in self._vowels.values())))
-
-    def _columns(self, vowel: str) -> _VowelColumns:
-        columns = self._vowels.get(vowel)
-        return _VowelColumns() if columns is None else columns.merged()
+        return sorted(set().union(*self._rows.values()))
 
     def table(self, vowel: str) -> tuple[tuple[str, ...], np.ndarray]:
         """The vowel's speaker ids in lexicographic order and their models
         as a read-only (S, 16) matrix."""
-        columns = self._columns(vowel)
-        return columns.ids, columns.matrix
+        return self._read(vowel)[:2]
 
     def for_vowel(self, vowel: str) -> list[SpeakerModel]:
-        columns = self._columns(vowel)
+        ids, matrix, counts = self._read(vowel)
         return [
             SpeakerModel._of_row(sid, vowel, row, n)
-            for sid, row, n in zip(columns.ids, columns.matrix, columns.counts.tolist())
+            for sid, row, n in zip(ids, matrix, counts.tolist())
         ]
 
 
@@ -224,12 +201,12 @@ def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:
 def save_models(model_set: ModelSet, path) -> None:
     """Write the v1 text format, one model per line, sorted by (speaker, vowel)."""
     ids, vowels, matrices, counts = [], [], [], []
-    for vowel in sorted(model_set._vowels):
-        columns = model_set._columns(vowel)
-        ids.extend(columns.ids)
-        vowels.extend([vowel] * len(columns.ids))
-        matrices.append(columns.matrix)
-        counts.append(columns.counts)
+    for vowel in sorted(model_set._rows):
+        vowel_ids, matrix, vowel_counts = model_set._read(vowel)
+        ids.extend(vowel_ids)
+        vowels.extend([vowel] * len(vowel_ids))
+        matrices.append(matrix)
+        counts.append(vowel_counts)
     # a stable sort by id keeps each speaker's vowels in sorted order
     order = sorted(range(len(ids)), key=ids.__getitem__)
     rows = np.concatenate(matrices or [np.empty((0, MODEL_DIM))])[order].tolist()
@@ -308,18 +285,12 @@ def _parse_lines(path: Path, lines: list[str]):
 def _model_set(ids: list[str], vowels: np.ndarray, counts: np.ndarray, matrix: np.ndarray) -> ModelSet:
     """A ModelSet from parallel per-model columns in any order, or
     ValueError if a row breaks a model rule or a key repeats."""
-    if not (np.isfinite(matrix).all() and (counts >= 1).all()):
-        raise ValueError("model values must be finite and counts at least 1")
+    if not (np.isfinite(matrix).all() and (counts >= 1).all() and np.isin(vowels, VOWELS).all()):
+        raise ValueError("model values must be finite, counts at least 1 and vowels known")
     model_set = ModelSet()
-    grouped = 0
     for vowel in VOWELS:
-        rows = np.flatnonzero(vowels == vowel).tolist()
-        if rows:
-            grouped += len(rows)
-            order = sorted(rows, key=ids.__getitem__)
-            model_set._vowels[vowel] = _VowelColumns(
-                [sys.intern(ids[i]) for i in order], matrix[order], counts[order]
-            )
-    if grouped != len(ids):
-        raise ValueError("unknown vowel")
+        rows = np.flatnonzero(vowels == vowel)
+        if rows.size:
+            sids = [sys.intern(ids[i]) for i in rows.tolist()]
+            model_set._merge(vowel, sids, matrix[rows], counts[rows])
     return model_set

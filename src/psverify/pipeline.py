@@ -30,8 +30,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         for field in fields(self):
-            if getattr(self, field.name) <= 0:
-                raise ValueError(f"{field.name} must be positive")
+            if not 0 < getattr(self, field.name) < math.inf:
+                raise ValueError(f"{field.name} must be finite and positive")
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
 

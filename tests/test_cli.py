@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from psverify import cli
+from psverify.evaluation import ManifestEntry, write_manifest
 from psverify.features import extract_utterance_features
 from psverify.modeling import ModelSet, SpeakerModel, save_models
 from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
@@ -205,6 +206,40 @@ class TestRecognitionCommands:
         assert cli.main(argv + ["--config", str(config)]) == 2
         assert "cepstral weights needs 12 values, got 11" in capsys.readouterr().err
 
+    def test_nan_weights_are_data_error(self, enrolled, capsys):
+        models_path, entries = enrolled
+        test_entry = next(e for e in entries if e.split == "test")
+        code = cli.main([
+            "verify", test_entry.path, "--models", str(models_path),
+            "--claim", test_entry.speaker_id, "--vowel", test_entry.vowel,
+            "--cepstral-weights", ",".join(["nan"] + ["1"] * 11),
+            "--temporal-weights", "nan,1,1,1",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "finite and positive" in captured.err
+        assert "claim" not in captured.out
+
+    def test_enroll_counts_failed_train_files(self, small_corpus, tmp_path, capsys):
+        _, entries = small_corpus
+        broken = tmp_path / "broken.txt"
+        broken.write_text("abc\n")
+        first = entries[0]
+        manifest = tmp_path / "manifest.csv"
+        bad = ManifestEntry(str(broken), first.speaker_id, first.vowel, "train")
+        write_manifest([*entries, bad], manifest)
+        n_train = sum(e.split == "train" for e in entries) + 1
+        code = cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "m.txt")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[-1] == f"failed: 1 of {n_train} train files"
+
+    def test_enroll_without_failures_prints_no_count(self, small_corpus, tmp_path, capsys):
+        manifest_path, _ = small_corpus
+        out_path = tmp_path / "m.txt"
+        assert cli.main(["enroll", "--manifest", str(manifest_path), "--out", str(out_path)]) == 0
+        assert "failed" not in capsys.readouterr().out
+
     def test_evaluate_writes_reports(self, enrolled, small_corpus, tmp_path, capsys):
         models_path, _ = enrolled
         manifest_path, _ = small_corpus
@@ -218,6 +253,22 @@ class TestRecognitionCommands:
         assert "System comparison:" in out
         for name in ("systems.csv", "vowels.csv", "outcomes.csv"):
             assert (report_dir / name).exists()
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("field", ["min_f0_hz", "max_f0_hz", "silence_multiplier"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_config_refuses_non_finite(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+            PipelineConfig(**{field: bad})
+
+    def test_flag_and_config_file_refuse_non_finite(self, vowel_file, tmp_path, capsys):
+        assert cli.main(["features", str(vowel_file), "--max-f0", "inf"]) == 2
+        assert "max_f0_hz must be finite and positive" in capsys.readouterr().err
+        config = tmp_path / "psv.cfg"
+        config.write_text("min_f0_hz=nan\n")
+        assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
+        assert "min_f0_hz must be finite and positive" in capsys.readouterr().err
 
 
 class TestSynthCommand:

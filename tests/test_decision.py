@@ -114,6 +114,13 @@ class TestWeights:
         with pytest.raises(ValueError):
             DistanceWeights(cepstral_weights=np.ones(10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_enforced(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            DistanceWeights(temporal_weights=np.array([bad, 1.0, 1.0, 1.0]))
+        with pytest.raises(ValueError, match="finite and positive"):
+            DistanceWeights(cepstral_weights=np.r_[np.ones(11), bad])
+
 
 class TestScoreAgainstModels:
     def test_self_match_zero_distance(self):

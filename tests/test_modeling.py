@@ -285,3 +285,49 @@ def test_load_restores_ids_counts_and_rounded_values(model_path, records):
         assert [m.n_utterances for m in loaded.for_vowel(vowel)] == [r[2] for r in want]
         rounded = np.array([[float(format(v, ".12g")) for v in r[3]] for r in want])
         assert matrix.tobytes() == rounded.reshape(len(want), 16).tobytes()
+
+
+def columns_of(model_set, vowel):
+    """A vowel's ids, matrix bytes and counts, read through the public API."""
+    ids, matrix = model_set.table(vowel)
+    return ids, matrix.tobytes(), [m.n_utterances for m in model_set.for_vowel(vowel)]
+
+
+READS = ("table", "for_vowel", "models", "iter")
+
+
+@COLUMN_PROPERTY
+@given(model_records(), st.data())
+def test_reads_between_adds_give_the_same_columns(model_path, records, data):
+    """Reads at random points merge the queued models early; the columns
+    must come out as if every model had been added before the first read."""
+    reads = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(records) - 1), st.sampled_from(READS),
+            st.sampled_from(VOWELS), st.integers(0, len(records) - 1),
+        ),
+        max_size=12,
+    ))
+    interleaved = ModelSet()
+    for i, (sid, vowel, n, values) in enumerate(records):
+        interleaved.add(SpeakerModel(sid, vowel, values, n))
+        for _, read, read_vowel, j in (r for r in reads if r[0] == i):
+            if read == "table":
+                interleaved.table(read_vowel)
+            elif read == "for_vowel":
+                interleaved.for_vowel(read_vowel)
+            elif read == "models":
+                key_sid, key_vowel, key_n, key_values = records[j % (i + 1)]
+                model = interleaved.models[key_sid, key_vowel]
+                assert model.n_utterances == key_n
+                assert model.mean_features.tobytes() == np.array(key_values).tobytes()
+            else:
+                assert len(list(interleaved.models)) == len(interleaved.models) == i + 1
+    plain = model_set_of(records)
+    save_models(interleaved, model_path)
+    loaded = load_models(model_path)
+    for vowel in VOWELS:
+        ids, matrix, counts = columns_of(interleaved, vowel)
+        assert (ids, matrix, counts) == columns_of(plain, vowel)
+        rounded = np.array([float(format(v, ".12g")) for v in np.frombuffer(matrix)])
+        assert columns_of(loaded, vowel) == (ids, rounded.tobytes(), counts)
