@@ -28,8 +28,10 @@ from .features import VOWELS
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(pipeline.PipelineConfig))
-_INT_FIELDS = {f.name for f in dataclasses.fields(pipeline.PipelineConfig) if f.type is int}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+_WEIGHT_COUNTS = {"cepstral_weights": 12, "temporal_weights": 4}
+# every key a config file may hold, with the type its value is read as
+_CONFIG_KEYS = _CONFIG_FIELDS | dict.fromkeys(_WEIGHT_COUNTS, str)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,24 +48,20 @@ def _parse_config_file(path) -> dict:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"{path}: line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key, eq, value = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValueError("expected key=value")
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown key {key!r}")
+            values[key] = _CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return values
 
 
-def _build_config(args) -> pipeline.PipelineConfig:
-    kwargs = {}
-    for name in _CONFIG_FIELDS:
-        flag_value = getattr(args, name, None)
-        if flag_value is not None:
-            kwargs[name] = flag_value
-        elif name in args.config_values:
-            caster = int if name in _INT_FIELDS else float
-            kwargs[name] = caster(args.config_values[name])
-    cfg = pipeline.PipelineConfig(**kwargs)
-    return cfg
+def _build_config(values) -> pipeline.PipelineConfig:
+    return pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
 
 
 def _parse_weight_list(text, count, label) -> np.ndarray:
@@ -73,15 +71,11 @@ def _parse_weight_list(text, count, label) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _build_weights(args) -> DistanceWeights:
-    kwargs = {}
-    cep = args.cepstral_weights or args.config_values.get("cepstral_weights")
-    tem = args.temporal_weights or args.config_values.get("temporal_weights")
-    if cep:
-        kwargs["cepstral_weights"] = _parse_weight_list(cep, 12, "cepstral weights")
-    if tem:
-        kwargs["temporal_weights"] = _parse_weight_list(tem, 4, "temporal weights")
-    return DistanceWeights(**kwargs)
+def _build_weights(values) -> DistanceWeights:
+    return DistanceWeights(**{
+        key: _parse_weight_list(values[key], count, key.replace("_", " "))
+        for key, count in _WEIGHT_COUNTS.items() if key in values
+    })
 
 
 def _parse_formants(text):
@@ -95,76 +89,95 @@ def _parse_formants(text):
     return tuple(formants)
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("pipeline options")
+def _setting_groups() -> list[argparse.ArgumentParser]:
+    """Parent parsers for the signal, trimming, pitch and weight settings; a
+    command that reads one group reads all before it, so takes a prefix."""
+    d = pipeline.PipelineConfig()
+    parents = []
+
+    def group(title):
+        parents.append(argparse.ArgumentParser(add_help=False))
+        return parents[-1].add_argument_group(title)
+
+    g = group("signal options")
     g.add_argument("--config", metavar="FILE", help="key=value config file; flags win")
     g.add_argument("--sample-rate", dest="sample_rate_hz", type=int, metavar="HZ",
-                   help="rate for text inputs (default 16000)")
-    g.add_argument("--frame-len", dest="frame_len", type=int, help="silence frame length (default 100)")
-    g.add_argument("--frame-shift", dest="frame_shift", type=int, help="silence frame shift (default 50)")
+                   help=f"rate for text inputs (default {d.sample_rate_hz})")
+    g = group("trimming options")
+    g.add_argument("--frame-len", dest="frame_len", type=int,
+                   help=f"silence frame length (default {d.frame_len})")
+    g.add_argument("--frame-shift", dest="frame_shift", type=int,
+                   help=f"silence frame shift (default {d.frame_shift})")
     g.add_argument("--silence-multiplier", dest="silence_multiplier", type=float,
-                   help="speech-energy factor over silence (default 1.10)")
+                   help=f"speech-energy factor over silence (default {d.silence_multiplier:g})")
     g.add_argument("--normalization-target", dest="normalization_target", type=float,
-                   help="peak normalization value (default 10000)")
+                   help=f"peak normalization value (default {d.normalization_target:g})")
     g.add_argument("--silence-frames", dest="silence_frames", type=int,
-                   help="lowest-energy frames averaged as silence (default 10)")
-    g.add_argument("--min-f0", dest="min_f0_hz", type=float, help="lowest admissible F0 (default 50)")
-    g.add_argument("--max-f0", dest="max_f0_hz", type=float, help="highest admissible F0 (default 500)")
+                   help=f"lowest-energy frames averaged as silence (default {d.silence_frames})")
+    g = group("pitch options")
+    g.add_argument("--min-f0", dest="min_f0_hz", type=float,
+                   help=f"lowest admissible F0 (default {d.min_f0_hz:g})")
+    g.add_argument("--max-f0", dest="max_f0_hz", type=float,
+                   help=f"highest admissible F0 (default {d.max_f0_hz:g})")
+    g = group("distance weights")
     g.add_argument("--cepstral-weights", dest="cepstral_weights", metavar="W1,..,W12",
                    help="override the Tokhura cepstral weight table")
     g.add_argument("--temporal-weights", dest="temporal_weights", metavar="W1,..,W4",
                    help="override the temporal distance weights (default all 1)")
-    return common
+    return parents
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    groups = _setting_groups()
     parser = _Parser(prog="psverify",
                      description="Pitch-synchronous speaker verification toolkit.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p = sub.add_parser("preprocess", parents=[common],
-                       help="DC-correct, normalize and silence-trim a signal")
+    def command(subparsers, name, handler, n_groups, summary):
+        p = subparsers.add_parser(name, parents=groups[:n_groups], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command(sub, "preprocess", _cmd_preprocess, 2,
+                "DC-correct, normalize and silence-trim a signal")
     p.add_argument("input")
     p.add_argument("output")
 
-    p = sub.add_parser("pitch-marks", parents=[common],
-                       help="print the polarity used and one mark index per line")
+    p = command(sub, "pitch-marks", _cmd_pitch_marks, 3,
+                "print the polarity used and one mark index per line")
     p.add_argument("input")
 
-    p = sub.add_parser("features", parents=[common],
-                       help="print the 16 feature values on one line")
+    p = command(sub, "features", _cmd_features, 3, "print the 16 feature values on one line")
     p.add_argument("input")
     p.add_argument("--vowel", choices=VOWELS, default="a",
                    help="vowel label to attach (metadata only; default a)")
 
-    p = sub.add_parser("enroll", parents=[common], help="train models from a manifest")
+    p = command(sub, "enroll", _cmd_enroll, 3, "train models from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
 
-    p = sub.add_parser("identify", parents=[common],
-                       help="closed-set identification with the agree-or-reject rule")
+    p = command(sub, "identify", _cmd_identify, 4,
+                "closed-set identification with the agree-or-reject rule")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="check an identity claim; exits 0 verified, 2 impostor, 3 retry")
+    p = command(sub, "verify", _cmd_verify, 4,
+                "check an identity claim; exits 0 verified, 2 impostor, 3 retry")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--claim", required=True, metavar="SPEAKER")
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="batch evaluation; prints tables and writes CSV reports")
+    p = command(sub, "evaluate", _cmd_evaluate, 4,
+                "batch evaluation; prints tables and writes CSV reports")
     p.add_argument("--models", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True, metavar="DIR")
 
-    p = sub.add_parser("synth", parents=[common], help="generate synthetic fixtures")
-    synth_sub = p.add_subparsers(dest="synth_command", metavar="WHAT")
-    v = synth_sub.add_parser("vowel", parents=[common], help="one synthetic vowel file")
+    p = sub.add_parser("synth", help="generate synthetic fixtures")
+    synth_sub = p.add_subparsers(metavar="WHAT", required=True)
+    v = command(synth_sub, "vowel", _cmd_synth_vowel, 1, "one synthetic vowel file")
     v.add_argument("--out", required=True)
     v.add_argument("--f0", type=float, required=True)
     v.add_argument("--vowel", choices=VOWELS, default="a",
@@ -173,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--duration", type=float, default=0.5)
     v.add_argument("--silence-pad", type=float, default=0.05)
     v.add_argument("--seed", type=int, default=0)
-    c = synth_sub.add_parser("corpus", parents=[common], help="labeled multi-speaker corpus")
+    c = command(synth_sub, "corpus", _cmd_synth_corpus, 1, "labeled multi-speaker corpus")
     c.add_argument("--out", required=True, metavar="DIR")
     c.add_argument("--speakers", type=int, default=10)
     c.add_argument("--train", type=int, default=20, help="train utterances per vowel")
@@ -184,15 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_preprocess(args) -> int:
-    cfg = _build_config(args)
+def _cmd_preprocess(args, cfg, weights) -> int:
     buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
     signal_io.write_text_samples(buffer, args.output)
     return 0
 
 
-def _cmd_pitch_marks(args) -> int:
-    cfg = _build_config(args)
+def _cmd_pitch_marks(args, cfg, weights) -> int:
     buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
     marks = pipeline.detect_marks(buffer, cfg)
     print(f"polarity {marks.polarity_used}")
@@ -201,15 +212,13 @@ def _cmd_pitch_marks(args) -> int:
     return 0
 
 
-def _cmd_features(args) -> int:
-    cfg = _build_config(args)
+def _cmd_features(args, cfg, weights) -> int:
     features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
     print(" ".join(format(v, ".9g") for v in features.vector))
     return 0
 
 
-def _cmd_enroll(args) -> int:
-    cfg = _build_config(args)
+def _cmd_enroll(args, cfg, weights) -> int:
     entries = evaluation.load_manifest(args.manifest)
     failed = []
     model_set = evaluation.run_training(entries, cfg, failed)
@@ -221,9 +230,7 @@ def _cmd_enroll(args) -> int:
     return 0
 
 
-def _score_input(args):
-    cfg = _build_config(args)
-    weights = _build_weights(args)
+def _score_input(args, cfg, weights):
     model_set = modeling.load_models(args.models)
     features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
     return score_against_models(features, model_set, weights)
@@ -240,8 +247,8 @@ def _print_distance_table(report) -> None:
     print(f"nearest by features: {report.argmin_temporal}")
 
 
-def _cmd_identify(args) -> int:
-    report = _score_input(args)
+def _cmd_identify(args, cfg, weights) -> int:
+    report = _score_input(args, cfg, weights)
     _print_distance_table(report)
     outcome = identify_combined(report)
     if outcome.accepted:
@@ -251,17 +258,15 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    report = _score_input(args)
+def _cmd_verify(args, cfg, weights) -> int:
+    report = _score_input(args, cfg, weights)
     _print_distance_table(report)
     result = verify_claim(report, args.claim)
     print(f"claim {args.claim}: {result}")
     return {VERIFIED: 0, IMPOSTOR: 2, RETRY: 3}[result]
 
 
-def _cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
-    weights = _build_weights(args)
+def _cmd_evaluate(args, cfg, weights) -> int:
     model_set = modeling.load_models(args.models)
     entries = evaluation.load_manifest(args.manifest)
     report = evaluation.run_evaluation(entries, model_set, cfg, weights)
@@ -270,30 +275,27 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _cmd_synth(args, parser) -> int:
-    if args.synth_command == "vowel":
-        formants = (
-            _parse_formants(args.formants) if args.formants
-            else evaluation.VOWEL_FORMANTS[args.vowel]
-        )
-        cfg = _build_config(args)
-        buffer = evaluation.synth_vowel(
-            args.f0, formants, args.duration, cfg.sample_rate_hz,
-            seed=args.seed, silence_pad_s=args.silence_pad,
-        )
-        signal_io.write_text_samples(buffer, args.out)
-        print(f"wrote {len(buffer)} samples to {args.out}")
-        return 0
-    if args.synth_command == "corpus":
-        cfg = _build_config(args)
-        manifest_path, entries = evaluation.make_synthetic_corpus(
-            args.out, args.speakers, args.train, args.test, args.seed,
-            cfg.sample_rate_hz, args.duration, args.silence_pad,
-        )
-        print(f"wrote {len(entries)} utterances, manifest at {manifest_path}")
-        return 0
-    parser.error("synth needs a sub-command: vowel or corpus")
-    return USAGE_ERROR
+def _cmd_synth_vowel(args, cfg, weights) -> int:
+    formants = (
+        _parse_formants(args.formants) if args.formants
+        else evaluation.VOWEL_FORMANTS[args.vowel]
+    )
+    buffer = evaluation.synth_vowel(
+        args.f0, formants, args.duration, cfg.sample_rate_hz,
+        seed=args.seed, silence_pad_s=args.silence_pad,
+    )
+    signal_io.write_text_samples(buffer, args.out)
+    print(f"wrote {len(buffer)} samples to {args.out}")
+    return 0
+
+
+def _cmd_synth_corpus(args, cfg, weights) -> int:
+    manifest_path, entries = evaluation.make_synthetic_corpus(
+        args.out, args.speakers, args.train, args.test, args.seed,
+        cfg.sample_rate_hz, args.duration, args.silence_pad,
+    )
+    print(f"wrote {len(entries)} utterances, manifest at {manifest_path}")
+    return 0
 
 
 def parse_and_dispatch(argv) -> int:
@@ -302,21 +304,12 @@ def parse_and_dispatch(argv) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    handlers = {
-        "preprocess": _cmd_preprocess,
-        "pitch-marks": _cmd_pitch_marks,
-        "features": _cmd_features,
-        "enroll": _cmd_enroll,
-        "identify": _cmd_identify,
-        "verify": _cmd_verify,
-        "evaluate": _cmd_evaluate,
-    }
     try:
-        # read once here; _build_config and _build_weights both use it
-        args.config_values = _parse_config_file(args.config) if args.config else {}
-        if args.command == "synth":
-            return _cmd_synth(args, parser)
-        return handlers[args.command](args)
+        # every setting is read and checked here, before a handler opens a file
+        values = _parse_config_file(args.config) if args.config else {}
+        values |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+        cfg, weights = _build_config(values), _build_weights(values)
+        return args.handler(args, cfg, weights)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

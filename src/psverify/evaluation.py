@@ -134,6 +134,9 @@ def aggregate_outcomes(outcomes, failed=()) -> EvalReport:
 # synthetic fixtures
 
 WARMUP_S = 0.1  # resonator lead-in synthesized and discarded
+# largest relative shift of a corpus utterance's F0 and formants, drawn once per utterance
+UTTERANCE_F0_SPREAD = 0.02
+UTTERANCE_FORMANT_SPREAD = 0.03
 
 
 def synth_vowel(
@@ -197,13 +200,11 @@ def make_synthetic_corpus(
     sample_rate_hz: int = 16000,
     duration_s: float = 0.35,
     silence_pad_s: float = 0.04,
-    f0_jitter: float = 0.02,
-    formant_jitter: float = 0.03,
 ):
     """Write a deterministic labeled corpus of text-sample files.
 
     Each synthetic speaker gets a distinct fundamental and a vocal-tract
-    scale applied to the vowel formant table; every utterance jitters both
+    scale applied to the vowel formant table; every utterance shifts both
     slightly so train and test samples differ. Returns (manifest_path,
     entries).
     """
@@ -223,9 +224,10 @@ def make_synthetic_corpus(
             base = VOWEL_FORMANTS[vowel]
             for u in range(train_per_vowel + test_per_vowel):
                 split = "train" if u < train_per_vowel else "test"
-                f0 = f0s[s] * (1.0 + rng.uniform(-f0_jitter, f0_jitter))
+                f0 = f0s[s] * (1.0 + rng.uniform(-UTTERANCE_F0_SPREAD, UTTERANCE_F0_SPREAD))
                 formants = tuple(
-                    (centre * scales[s] * (1.0 + rng.uniform(-formant_jitter, formant_jitter)), bw)
+                    (centre * scales[s]
+                     * (1.0 + rng.uniform(-UTTERANCE_FORMANT_SPREAD, UTTERANCE_FORMANT_SPREAD)), bw)
                     for centre, bw in base
                 )
                 utt_seed = int(rng.integers(0, 2**31))
@@ -287,8 +289,11 @@ def _features_of(entries, config: PipelineConfig, failed: list):
         try:
             features = utterance_features_from_file(entry.path, entry.vowel, config)
         except (ValueError, OSError) as exc:
-            log.warning("skipping %s: %s", entry.path, exc)
-            failed.append((entry.path, str(exc)))
+            # loader errors start with the path and an OSError's text quotes it
+            detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+            reason = f"{entry.path}: {detail.removeprefix(f'{entry.path}: ')}"
+            log.warning("skipping %s", reason)
+            failed.append((entry.path, reason))
         else:
             yield entry, features
 

@@ -34,6 +34,7 @@ class PipelineConfig:
                 raise ValueError(f"{field.name} must be finite and positive")
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
+        self.frame_plan  # built now, so a bad frame pair is refused with the config
 
     @property
     def frame_plan(self) -> preprocess.FramePlan:

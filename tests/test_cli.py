@@ -1,3 +1,4 @@
+import argparse
 import wave
 
 import numpy as np
@@ -57,6 +58,85 @@ class TestParsing:
         with pytest.raises(SystemExit) as exc:
             cli.main(["features", str(vowel_file), "--lpc-order", "12"])
         assert exc.value.code == 1
+
+
+SIGNAL = {"--config", "--sample-rate"}
+TRIMMING = {"--frame-len", "--frame-shift", "--silence-multiplier", "--normalization-target",
+            "--silence-frames"}
+PITCH = {"--min-f0", "--max-f0"}
+WEIGHTS = {"--cepstral-weights", "--temporal-weights"}
+SETTINGS = SIGNAL | TRIMMING | PITCH | WEIGHTS
+SETTINGS_BY_PARSER = {
+    "preprocess": SIGNAL | TRIMMING,
+    "pitch-marks": SIGNAL | TRIMMING | PITCH,
+    "features": SIGNAL | TRIMMING | PITCH,
+    "enroll": SIGNAL | TRIMMING | PITCH,
+    "identify": SETTINGS,
+    "verify": SETTINGS,
+    "evaluate": SETTINGS,
+    "synth": set(),
+    "synth vowel": SIGNAL,
+    "synth corpus": SIGNAL,
+}
+
+
+def _sub_parsers(parser, prefix=""):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield prefix + name, child
+                yield from _sub_parsers(child, prefix + name + " ")
+
+
+class TestSettingsSurface:
+    @pytest.mark.parametrize("name", SETTINGS_BY_PARSER)
+    def test_parser_takes_exactly_its_settings(self, name):
+        parser = dict(_sub_parsers(cli.build_parser()))[name]
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        assert flags & SETTINGS == SETTINGS_BY_PARSER[name]
+
+    def test_every_parser_is_listed(self):
+        assert [name for name, _ in _sub_parsers(cli.build_parser())] == list(SETTINGS_BY_PARSER)
+        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 71
+
+    def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys):
+        config = tmp_path / "psv.cfg"
+        config.write_text("# shared by every command\ntemporal_weights=1,1,1,1\nmin_f0_hz=60\n")
+        out = tmp_path / "pre.txt"
+        # keys a command does not read are allowed
+        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 0
+        config.write_text("min_f0_hz=60\nmin_f0=300\n")
+        assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert f"{config}: line 2: unknown key 'min_f0'" in captured.err
+        assert captured.out == ""
+
+    def test_bad_frame_pair_refused_before_any_file(self, enrolled, small_corpus, tmp_path):
+        with pytest.raises(ValueError, match="frame_shift <= frame_len"):
+            PipelineConfig(frame_len=50, frame_shift=100)
+        models_path, _ = enrolled
+        manifest_path, _ = small_corpus
+        report_dir = tmp_path / "report"
+        code = cli.main([
+            "evaluate", "--models", str(models_path), "--manifest", str(manifest_path),
+            "--report", str(report_dir), "--frame-len", "50", "--frame-shift", "100",
+        ])
+        assert code == 2
+        assert not report_dir.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["enroll", "--manifest", "m.csv", "--out", "m.txt", "--cepstral-weights", "1,2"],
+        ["synth", "--sample-rate", "8000", "vowel", "--out", "v.txt", "--f0", "120",
+         "--duration", "0.1", "--silence-pad", "0"],
+        ["synth", "--config", "none.cfg", "vowel", "--out", "v.txt", "--f0", "120"],
+        ["preprocess", "in.txt", "out.txt", "--max-f0", "300"],
+    ])
+    def test_setting_a_command_does_not_read_is_usage_error(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSignalCommands:

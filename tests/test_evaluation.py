@@ -193,6 +193,32 @@ class TestRunTraining:
             run_training([ManifestEntry("x.txt", "s01", "a", "test")], config)
 
 
+class TestFailedFileReasons:
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_each_failure_names_its_path_once(
+        self, small_corpus, small_models, config, tmp_path, caplog, split
+    ):
+        _, entries = small_corpus
+        (tmp_path / "malformed.txt").write_text("abc\n")
+        (tmp_path / "silent.txt").write_text("0\n" * 2000)
+        kinds = {"malformed": "not a number", "missing": "No such file", "silent": "silent signal"}
+        paths = [str(tmp_path / f"{kind}.txt") for kind in kinds]
+        first = entries[0]
+        bad = [ManifestEntry(path, first.speaker_id, first.vowel, split) for path in paths]
+        with caplog.at_level("WARNING", logger=evaluation.log.name):
+            if split == "train":
+                failed = []
+                run_training([*entries, *bad], config, failed)
+            else:
+                failed = run_evaluation([*entries, *bad], small_models, config).failed
+        warnings = [r.getMessage() for r in caplog.records if r.name == evaluation.log.name]
+        assert [path for path, _ in failed] == paths
+        assert len(warnings) == len(paths)
+        for path, (_, reason), warning, detail in zip(paths, failed, warnings, kinds.values()):
+            assert reason.count(path) == 1 and detail in reason
+            assert warning.count(path) == 1 and detail in warning
+
+
 class TestRunEvaluation:
     def test_identities_and_determinism(self, small_corpus, small_models, config):
         _, entries = small_corpus
