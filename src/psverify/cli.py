@@ -7,6 +7,7 @@ evaluate, synth. Exit codes: 0 success, 1 usage error, 2 data error;
 
 import argparse
 import dataclasses
+import itertools
 import logging
 import sys
 from pathlib import Path
@@ -300,6 +301,11 @@ def _cmd_synth_corpus(args, cfg, weights) -> int:
 
 def parse_and_dispatch(argv) -> int:
     parser = build_parser()
+    if argv[:1] == ["synth"]:  # argparse would call a setting's value an unknown sub-command
+        settings = {f for g in _setting_groups() for a in g._actions for f in a.option_strings}
+        for token in itertools.takewhile(lambda t: t not in ("vowel", "corpus"), argv[1:]):
+            if (flag := token.partition("=")[0]) in settings:
+                parser.error(f"{flag}: setting flags go after the sub-command (synth vowel|corpus ...)")
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

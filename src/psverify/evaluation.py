@@ -17,7 +17,7 @@ import numpy as np
 from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
 from .modeling import ModelSet, build_model
-from .pipeline import PipelineConfig, utterance_features_from_file
+from .pipeline import PipelineConfig, features_of_files
 from .signal_io import SampleBuffer, write_text_samples
 
 log = logging.getLogger(__name__)
@@ -283,19 +283,17 @@ def load_manifest(path) -> list[ManifestEntry]:
 # batch runs
 
 def _features_of(entries, config: PipelineConfig, failed: list):
-    """(entry, features) for each entry the pipeline accepts; each file it
-    refuses is logged and recorded in `failed` as (path, reason)."""
-    for entry in entries:
-        try:
-            features = utterance_features_from_file(entry.path, entry.vowel, config)
-        except (ValueError, OSError) as exc:
+    """Features of each entry, or None for a file the pipeline refuses,
+    which is logged and recorded in `failed` as (path, reason) on its turn."""
+    for entry, result in zip(entries, features_of_files([(e.path, e.vowel) for e in entries], config)):
+        if isinstance(result, Exception):
             # loader errors start with the path and an OSError's text quotes it
-            detail = exc.strerror if isinstance(exc, OSError) and exc.strerror else str(exc)
+            detail = result.strerror if isinstance(result, OSError) and result.strerror else str(result)
             reason = f"{entry.path}: {detail.removeprefix(f'{entry.path}: ')}"
             log.warning("skipping %s", reason)
             failed.append((entry.path, reason))
-        else:
-            yield entry, features
+            result = None
+        yield result
 
 
 def run_training(
@@ -315,9 +313,12 @@ def run_training(
         groups.setdefault((entry.speaker_id, entry.vowel), []).append(entry)
     if not groups:
         raise ValueError("manifest has no train entries")
+    groups = sorted(groups.items())
+    results = _features_of([entry for _, group in groups for entry in group], config, failed)
     model_set = ModelSet()
-    for (sid, vowel), group in sorted(groups.items()):
-        features = [f for _, f in _features_of(group, config, failed)]
+    for (sid, vowel), group in groups:
+        # zip stops at the group's end, so it takes exactly the group's results
+        features = [f for _, f in zip(group, results) if f is not None]
         if not features:
             raise ValueError(f"no usable training utterances for ({sid}, {vowel})")
         model_set.add(build_model(sid, vowel, features))
@@ -343,7 +344,9 @@ def run_evaluation(
         raise ValueError(f"no models for vowels: {', '.join(missing)}")
     outcomes = []
     failed = []
-    for entry, features in _features_of(tests, config, failed):
+    for entry, features in zip(tests, _features_of(tests, config, failed)):
+        if features is None:
+            continue
         report = score_against_models(features, model_set, weights)
         outcomes.append(
             UtteranceOutcome(

@@ -163,33 +163,41 @@ def autocorrelation(frame, max_lag: int = LPC_ORDER) -> np.ndarray:
     return r
 
 
+@np.errstate(all="ignore")  # a reflection may overflow before its check
 def _levinson_batch(r):
     """Levinson-Durbin on each row of r (F frames x order+1 lags) at once.
 
     Every sum is accumulated left to right, as a scalar loop over one frame
-    would, so each row rounds exactly as if it were solved alone.
+    would, so each row rounds exactly as if it were solved alone. A failing
+    row goes on with R[0] or residual 1, or reflection 0, in place of the
+    failed value; `failures` lists (rows, reason) in the order a solo solve
+    checks, so its first entry for a row is the error that row raises alone.
     """
     frames, order = r.shape[0], r.shape[1] - 1
-    if (r[:, 0] <= 0.0).any():
-        raise ValueError("ill-conditioned autocorrelation: R[0] <= 0")
     a = np.zeros((frames, order))
     k = np.empty((frames, order))
     err = np.empty((frames, order + 1))
+    failures = []
+
+    def fail(rows, reason, values, fill):
+        if rows.any():
+            failures.append((rows, f"ill-conditioned autocorrelation: {reason}"))
+            values[rows] = fill
+
     err[:, 0] = r[:, 0]
+    fail(err[:, 0] <= 0.0, "R[0] <= 0", err[:, 0], 1.0)
     terms = np.zeros((frames, order))  # column 0 stays 0.0, where each sum starts
     for i in range(1, order + 1):
         e_prev = err[:, i - 1]
-        if (e_prev <= 0.0).any():
-            raise ValueError("ill-conditioned autocorrelation: vanishing residual")
+        fail(e_prev <= 0.0, "vanishing residual", e_prev, 1.0)
         np.multiply(a[:, : i - 1], r[:, i - 1 : 0 : -1], out=terms[:, 1:i])
         ki = (r[:, i] - terms[:, :i].cumsum(axis=1)[:, -1]) / e_prev
-        if (np.abs(ki) >= 1.0).any():
-            raise ValueError("ill-conditioned autocorrelation: |reflection| >= 1")
+        fail(np.abs(ki) >= 1.0, "|reflection| >= 1", ki, 0.0)
         a[:, : i - 1] -= ki[:, None] * a[:, : i - 1][:, ::-1]
         a[:, i - 1] = ki
         k[:, i - 1] = ki
         err[:, i] = (1.0 - ki * ki) * e_prev
-    return a, k, err
+    return a, k, err, failures
 
 
 def levinson_durbin(r, order: int | None = None):
@@ -211,7 +219,9 @@ def levinson_durbin(r, order: int | None = None):
         order = r.size - 1
     if r.size < order + 1:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    a, k, err = _levinson_batch(r[None, : order + 1])
+    a, k, err, failures = _levinson_batch(r[None, : order + 1])
+    if failures:
+        raise ValueError(failures[0][1])
     return a[0], k[0], err[0]
 
 
@@ -239,11 +249,11 @@ def lpc_to_cepstral(a) -> CepstralVector:
     return CepstralVector(_cepstra_batch(a[None, :])[0])
 
 
-def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -> CepstralVector:
-    """Average cepstra over sliding frames of three consecutive periods.
+def cepstral_lags(buffer: SampleBuffer, region: SteadyStateRegion) -> np.ndarray:
+    """Lags 0..12 of the autocorrelation of each sliding frame, (F, 13).
 
     Frame i spans region periods i, i+1, i+2; each iteration drops the
-    first period and appends the next, for min(N-2, 18) frames.
+    first period and appends the next, for F = min(N-2, 18) frames.
     """
     n = len(region)
     if n < 3:
@@ -254,11 +264,33 @@ def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -
     for i in range(n_frames):
         last_start, last_len = region.periods[i + 2]
         r[i] = autocorrelation(x[region.periods[i][0] : last_start + last_len])
-    a, _, _ = _levinson_batch(r)
-    acc = np.zeros(LPC_ORDER)
-    for c in _cepstra_batch(a):  # frames summed in order
-        acc += c
-    return CepstralVector(acc / n_frames)
+    return r
+
+
+def average_cepstra(lag_matrices) -> list:
+    """The frame-averaged cepstra of each (F, 13) lag matrix, or the ValueError
+    solving it alone raises. One Levinson-Durbin and one cepstral batch solve
+    every frame; rows are independent and each matrix's frames are summed in
+    order, so each average is bit-identical to a solo solve."""
+    a, _, _, failures = _levinson_batch(np.concatenate([np.empty((0, LPC_ORDER + 1)), *lag_matrices]))
+    cepstra, averages, stop = _cepstra_batch(a), [], 0
+    for lags in lag_matrices:
+        start, stop = stop, stop + len(lags)
+        reason = next((reason for rows, reason in failures if rows[start:stop].any()), None)
+        acc = np.zeros(LPC_ORDER)
+        for c in cepstra[start:stop]:  # frames summed in order
+            acc += c
+        averages.append(ValueError(reason) if reason else acc / len(lags))
+    return averages
+
+
+def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -> CepstralVector:
+    """Average cepstra over the region's sliding three-period frames
+    (`cepstral_lags`): a batch of one for `average_cepstra`."""
+    (average,) = average_cepstra([cepstral_lags(buffer, region)])
+    if isinstance(average, ValueError):
+        raise average
+    return CepstralVector(average)
 
 
 def extract_utterance_features(buffer: SampleBuffer, marks: PitchMarks, vowel: str) -> UtteranceFeatures:

@@ -1,18 +1,27 @@
-"""End-to-end per-utterance pipeline: load, preprocess, mark, extract."""
+"""End-to-end pipeline: load, preprocess, mark, extract."""
 
 import math
 from dataclasses import dataclass, fields
 
-from . import preprocess, signal_io
-from .features import UtteranceFeatures, extract_utterance_features
+from . import features, preprocess, signal_io
+from .features import CepstralVector, UtteranceFeatures
 from .pitch import (
     PitchMarks,
     choose_polarity,
     compute_stats,
     extract_half_peaks,
     mark_pitch_periods,
+    periods_from_marks,
 )
 from .signal_io import SampleBuffer
+
+
+class PipelineError(ValueError):
+    """A ValueError of one stage, named in `stage`: load, preprocess, marks or features."""
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -69,9 +78,41 @@ def detect_marks(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()
     return mark_pitch_periods(buffer, peaks, stats, polarity, min_period, max_period)
 
 
+def features_of_files(files, config: PipelineConfig = PipelineConfig()) -> list:
+    """UtteranceFeatures, or the PipelineError or OSError it fails with, for
+    each (path, vowel). Each file goes alone as far as its temporal features
+    and cepstral lags; then the cepstral frames of all are solved in one batch."""
+    results, pending = [], []  # pending: (index in results, temporal features, lags, vowel)
+    for path, vowel in files:
+        stage = "load"
+        try:
+            buffer = load_signal(path, config)
+            stage = "preprocess"
+            buffer = preprocess_signal(buffer, config)
+            stage = "marks"
+            marks = detect_marks(buffer, config)
+            stage = "features"
+            region = features.select_steady_state(buffer, periods_from_marks(marks))
+            temporal = features.temporal_features(buffer, region)
+            pending.append((len(results), temporal, features.cepstral_lags(buffer, region), vowel))
+            results.append(None)
+        except (ValueError, OSError) as exc:
+            results.append(PipelineError(stage, str(exc)) if isinstance(exc, ValueError) else exc)
+    for (i, temporal, _, vowel), average in zip(pending, features.average_cepstra([p[2] for p in pending])):
+        try:
+            if isinstance(average, ValueError):
+                raise average
+            results[i] = UtteranceFeatures(temporal, CepstralVector(average), vowel)
+        except ValueError as exc:
+            results[i] = PipelineError("features", str(exc))
+    return results
+
+
 def utterance_features_from_file(
     path, vowel: str, config: PipelineConfig = PipelineConfig()
 ) -> UtteranceFeatures:
-    buffer = preprocess_signal(load_signal(path, config), config)
-    marks = detect_marks(buffer, config)
-    return extract_utterance_features(buffer, marks, vowel)
+    """One file's features: a pass of one."""
+    (result,) = features_of_files([(path, vowel)], config)
+    if isinstance(result, Exception):
+        raise result
+    return result

@@ -98,6 +98,29 @@ def loop_levinson(r):
     return a, k, err
 
 
+def first_ill_conditioned(r):
+    """The error a whole-matrix Levinson-Durbin over the rows of r raises at
+    its first failed check, or None: R[0] of any row, then at each order
+    step the residual of any row before the reflection of any row."""
+    r = np.asarray(r, dtype=np.float64)
+    if (r[:, 0] <= 0.0).any():
+        return "ill-conditioned autocorrelation: R[0] <= 0"
+    a = np.zeros((r.shape[0], r.shape[1] - 1))
+    err = r[:, 0].copy()
+    for i in range(1, r.shape[1]):
+        if (err <= 0.0).any():
+            return "ill-conditioned autocorrelation: vanishing residual"
+        k = np.array([(row[i] - a_row[: i - 1] @ row[i - 1 : 0 : -1]) / e
+                      for row, a_row, e in zip(r, a, err)])
+        if (np.abs(k) >= 1.0).any():
+            return "ill-conditioned autocorrelation: |reflection| >= 1"
+        head = a[:, : i - 1].copy()
+        a[:, : i - 1] = head - k[:, None] * head[:, ::-1]
+        a[:, i - 1] = k
+        err = (1.0 - k * k) * err
+    return None
+
+
 def loop_cepstra(a):
     """c_n = a_n + sum_{j=1}^{n-1} (j/n) c_j a_{n-j}, one term at a time."""
     p = len(a)

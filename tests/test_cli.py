@@ -138,6 +138,18 @@ class TestSettingsSurface:
         assert exc.value.code == 1
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flag", [["--sample-rate", "8000"], ["--config=none.cfg"], ["--min-f0", "60"]])
+    def test_setting_before_synth_command_says_where_it_goes(self, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", *flag, "vowel", "--out", "v.txt", "--f0", "120", "--duration", "0.1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        name = flag[0].partition("=")[0]
+        assert f"{name}: setting flags go after the sub-command (synth vowel|corpus ...)" in err
+        assert "invalid choice" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSignalCommands:
     def test_preprocess_writes_loadable_signal(self, vowel_file, tmp_path):
