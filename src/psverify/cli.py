@@ -304,7 +304,9 @@ def parse_and_dispatch(argv) -> int:
     if argv[:1] == ["synth"]:  # argparse would call a setting's value an unknown sub-command
         settings = {f for g in _setting_groups() for a in g._actions for f in a.option_strings}
         for token in itertools.takewhile(lambda t: t not in ("vowel", "corpus"), argv[1:]):
-            if (flag := token.partition("=")[0]) in settings:
+            # argparse also takes any unique prefix of a long flag
+            flag = token.partition("=")[0]
+            if flag.startswith("--") and flag != "--" and any(f.startswith(flag) for f in settings):
                 parser.error(f"{flag}: setting flags go after the sub-command (synth vowel|corpus ...)")
     args = parser.parse_args(argv)
     if args.command is None:

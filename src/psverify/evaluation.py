@@ -64,10 +64,6 @@ class UtteranceOutcome:
     def combined_pick(self) -> str | None:
         return agreed_speaker(self.cepstral_pick, self.temporal_pick)
 
-    @property
-    def combined_accepted(self) -> bool:
-        return self.combined_pick is not None
-
 
 @dataclass(frozen=True)
 class SystemCounts:
@@ -160,8 +156,10 @@ def synth_vowel(
     # imported here: scipy.signal alone takes most of a cold `import psverify.cli`
     from scipy.signal import lfilter
 
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not 0 <= silence_pad_s < np.inf:
+        raise ValueError(f"silence_pad_s must be finite and non-negative, got {silence_pad_s}")
     if not 0 < f0_hz < sample_rate_hz / 2:
         raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
     formants = tuple(formants)
@@ -170,8 +168,8 @@ def synth_vowel(
     for centre, bandwidth in formants:
         if not 0 < centre < sample_rate_hz / 2:
             raise ValueError(f"formant centre {centre} Hz beyond Nyquist")
-        if bandwidth <= 0:
-            raise ValueError("formant bandwidth must be positive")
+        if not 0 < bandwidth < np.inf:
+            raise ValueError(f"formant bandwidth must be finite and positive, got {bandwidth}")
     period = int(round(sample_rate_hz / f0_hz))
     n = int(round(duration_s * sample_rate_hz))
     warmup = int(round(WARMUP_S * sample_rate_hz))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pitch import PitchMarks, periods_from_marks
 from .signal_io import SampleBuffer
 
 VOWELS = ("a", "e", "i", "o", "u")
@@ -54,27 +53,6 @@ class CepstralVector:
 
 
 @dataclass(frozen=True)
-class SteadyStateRegion:
-    """Contiguous run of pitch periods around the amplitude peak.
-
-    `periods` holds (start, length) pairs; `peak_offset` is the index within
-    `periods` of the period containing the global amplitude peak.
-    """
-
-    periods: tuple
-    peak_offset: int
-
-    def __post_init__(self):
-        if not 1 <= len(self.periods) <= REGION_PERIODS_BEFORE + REGION_PERIODS_AFTER + 1:
-            raise ValueError(f"region must hold 1..20 periods, got {len(self.periods)}")
-        if not 0 <= self.peak_offset < len(self.periods):
-            raise ValueError("peak period must lie inside the region")
-
-    def __len__(self):
-        return len(self.periods)
-
-
-@dataclass(frozen=True)
 class UtteranceFeatures:
     temporal: TemporalFeatures
     cepstral: CepstralVector
@@ -90,8 +68,9 @@ class UtteranceFeatures:
         return np.concatenate((self.temporal.vector, self.cepstral.c))
 
 
-def select_steady_state(buffer: SampleBuffer, periods) -> SteadyStateRegion:
-    """Up to 20 periods centred on the one containing the amplitude peak.
+def select_steady_state(buffer: SampleBuffer, periods: np.ndarray) -> np.ndarray:
+    """Up to 20 periods centred on the one containing the amplitude peak,
+    as a row slice of the (N, 2) array of (start, length) rows `periods`.
 
     The window spans 10 periods before through 9 after the peak period and
     is clipped at the ends, so fewer periods are used near the edges.
@@ -100,21 +79,19 @@ def select_steady_state(buffer: SampleBuffer, periods) -> SteadyStateRegion:
     if n < 3:
         raise ValueError(f"need at least 3 pitch periods, got {n}")
     peak_idx = int(np.argmax(np.abs(buffer.samples)))
-    starts = np.array([start for start, _ in periods])
-    p = int(np.clip(np.searchsorted(starts, peak_idx, side="right") - 1, 0, n - 1))
-    lo = max(0, p - REGION_PERIODS_BEFORE)
-    hi = min(n - 1, p + REGION_PERIODS_AFTER)
-    return SteadyStateRegion(tuple(periods[lo : hi + 1]), p - lo)
+    p = int(np.clip(np.searchsorted(periods[:, 0], peak_idx, side="right") - 1, 0, n - 1))
+    return periods[max(0, p - REGION_PERIODS_BEFORE) : p + REGION_PERIODS_AFTER + 1]
 
 
-def _extrema_counts(x, periods) -> np.ndarray:
-    """(poc, pot, nec, net) per period, as an (N, 4) integer array.
+def _extrema_counts(x, periods: np.ndarray) -> np.ndarray:
+    """(poc, pot, nec, net) per (start, length) row, as an (N, 4) integer array.
 
     The crest/trough masks are built once over the span the periods cover;
     each period's totals are differences of their running sums.
     """
-    starts = np.array([start for start, _ in periods])
-    lengths = np.array([length for _, length in periods])
+    if len(periods) == 0:
+        raise ValueError("region holds no pitch periods")
+    starts, lengths = periods[:, 0], periods[:, 1]
     short = lengths < 3
     if np.any(short):
         raise ValueError(f"period of {lengths[short][0]} samples is shorter than one window")
@@ -142,12 +119,12 @@ def count_extrema(buffer: SampleBuffer, period) -> tuple[int, int, int, int]:
     a negative crest (nec), min as a negative trough (net). Plateaus count
     nothing.
     """
-    return tuple(_extrema_counts(buffer.samples, [period])[0].tolist())
+    return tuple(_extrema_counts(buffer.samples, np.array([period]))[0].tolist())
 
 
-def temporal_features(buffer: SampleBuffer, region: SteadyStateRegion) -> TemporalFeatures:
+def temporal_features(buffer: SampleBuffer, region: np.ndarray) -> TemporalFeatures:
     """Sum the four counters over the region's N periods and divide by N."""
-    totals = _extrema_counts(buffer.samples, region.periods).sum(axis=0) / len(region)
+    totals = _extrema_counts(buffer.samples, region).sum(axis=0) / len(region)
     return TemporalFeatures(*totals)
 
 
@@ -249,7 +226,7 @@ def lpc_to_cepstral(a) -> CepstralVector:
     return CepstralVector(_cepstra_batch(a[None, :])[0])
 
 
-def cepstral_lags(buffer: SampleBuffer, region: SteadyStateRegion) -> np.ndarray:
+def cepstral_lags(buffer: SampleBuffer, region: np.ndarray) -> np.ndarray:
     """Lags 0..12 of the autocorrelation of each sliding frame, (F, 13).
 
     Frame i spans region periods i, i+1, i+2; each iteration drops the
@@ -260,10 +237,10 @@ def cepstral_lags(buffer: SampleBuffer, region: SteadyStateRegion) -> np.ndarray
         raise ValueError(f"region too short: {n} periods, need 3")
     n_frames = min(n - 2, MAX_CEPSTRAL_FRAMES)
     x = buffer.samples
+    starts, lengths = region.T.tolist()  # Python ints slice faster than numpy scalars
     r = np.empty((n_frames, LPC_ORDER + 1))
     for i in range(n_frames):
-        last_start, last_len = region.periods[i + 2]
-        r[i] = autocorrelation(x[region.periods[i][0] : last_start + last_len])
+        r[i] = autocorrelation(x[starts[i] : starts[i + 2] + lengths[i + 2]])
     return r
 
 
@@ -284,7 +261,7 @@ def average_cepstra(lag_matrices) -> list:
     return averages
 
 
-def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -> CepstralVector:
+def pitch_synchronous_cepstra(buffer: SampleBuffer, region: np.ndarray) -> CepstralVector:
     """Average cepstra over the region's sliding three-period frames
     (`cepstral_lags`): a batch of one for `average_cepstra`."""
     (average,) = average_cepstra([cepstral_lags(buffer, region)])
@@ -292,13 +269,3 @@ def pitch_synchronous_cepstra(buffer: SampleBuffer, region: SteadyStateRegion) -
         raise average
     return CepstralVector(average)
 
-
-def extract_utterance_features(buffer: SampleBuffer, marks: PitchMarks, vowel: str) -> UtteranceFeatures:
-    """Compose region selection, temporal counts and cepstra into 16 values."""
-    periods = periods_from_marks(marks)
-    region = select_steady_state(buffer, periods)
-    return UtteranceFeatures(
-        temporal=temporal_features(buffer, region),
-        cepstral=pitch_synchronous_cepstra(buffer, region),
-        vowel=vowel,
-    )

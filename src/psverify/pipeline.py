@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from . import features, preprocess, signal_io
 from .features import CepstralVector, UtteranceFeatures
@@ -56,7 +57,11 @@ class PipelineConfig:
 
 
 def load_signal(path, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:
-    return signal_io.load_signal(path, config.sample_rate_hz)
+    """Dispatch on extension: .wav/.wave to the WAV reader, else text read at
+    the configured sample rate."""
+    if Path(path).suffix.lower() in (".wav", ".wave"):
+        return signal_io.load_wav_pcm16(path)
+    return signal_io.load_text_samples(path, config.sample_rate_hz)
 
 
 def preprocess_signal(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:

@@ -28,14 +28,6 @@ class HalfPeak:
     peak_value: float
     mpd: float
 
-    def __post_init__(self):
-        if self.polarity == POSITIVE and self.peak_value <= 0:
-            raise ValueError("positive half with non-positive peak")
-        if self.polarity == NEGATIVE and self.peak_value >= 0:
-            raise ValueError("negative half with non-negative peak")
-        if self.mpd < 0:
-            raise ValueError("MPD must be non-negative")
-
 
 @dataclass(frozen=True, eq=False)
 class HalfPeaks:
@@ -170,9 +162,13 @@ def choose_polarity(stats: PitchStats) -> str:
 
 
 def _thresholds(values, mpds, ampv: float, max_mpd: float) -> np.ndarray:
-    """Signed thresholds value - (x/100)*value for halves of one polarity.
+    """Signed threshold of each half of one polarity: the next same-polarity
+    peak must reach it by magnitude.
 
-    x in 1..10 partitions [0, AMPV]; x in 11..20 partitions (AMPV, max MPD].
+    threshold = value - (x/100) * value, where x indexes the ten intervals of
+    [0, AMPV] (x = 1..10) or the ten intervals of (AMPV, max MPD]
+    (x = 11..20) that the half's MPD falls in. Larger x means a more
+    permissive (lower-magnitude) threshold.
     """
     span = max_mpd - ampv
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -189,20 +185,6 @@ def _polarity_stats(polarity: str, stats: PitchStats) -> tuple[float, float]:
     if polarity == POSITIVE:
         return stats.ampv_pos, stats.max_mpd_pos
     return stats.ampv_neg, stats.max_mpd_neg
-
-
-def threshold_for_peak(peak: HalfPeak, stats: PitchStats) -> float:
-    """Signed threshold the next same-polarity peak must reach (by magnitude).
-
-    threshold = peak - (x/100) * peak, where x indexes the ten intervals of
-    [0, AMPV] (x = 1..10) or the ten intervals of (AMPV, max MPD]
-    (x = 11..20) that the half's MPD falls in. Larger x means a more
-    permissive (lower-magnitude) threshold.
-    """
-    thresholds = _thresholds(
-        np.array([peak.peak_value]), np.array([peak.mpd]), *_polarity_stats(peak.polarity, stats)
-    )
-    return float(thresholds[0])
 
 
 def mark_pitch_periods(
@@ -247,7 +229,7 @@ def mark_pitch_periods(
     return PitchMarks(np.asarray(marks, dtype=np.int64), polarity)
 
 
-def periods_from_marks(marks: PitchMarks) -> list[tuple[int, int]]:
-    """Consecutive marks delimit periods: [(start, length), ...]."""
+def periods_from_marks(marks: PitchMarks) -> np.ndarray:
+    """Consecutive marks delimit periods: an (N, 2) int64 array of (start, length) rows."""
     idx = marks.mark_indices
-    return [(int(idx[i]), int(idx[i + 1] - idx[i])) for i in range(idx.size - 1)]
+    return np.column_stack((idx[:-1], np.diff(idx)))

@@ -89,13 +89,6 @@ def load_wav_pcm16(path) -> SampleBuffer:
     return SampleBuffer(samples, rate)
 
 
-def load_signal(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuffer:
-    """Dispatch on extension: .wav/.wave to the WAV reader, else text."""
-    if Path(path).suffix.lower() in (".wav", ".wave"):
-        return load_wav_pcm16(path)
-    return load_text_samples(path, sample_rate_hz)
-
-
 def write_text_samples(buffer: SampleBuffer, path) -> None:
     """Write one sample per line; round-trips through load_text_samples to 1e-6.
 

@@ -1,9 +1,22 @@
-"""Independent oracles used by the tests; deliberately take different
-routes than the library code they check."""
+"""Independent oracles used by the tests, which deliberately take different
+routes than the library code they check, and the stage-by-stage composition
+of one utterance's features."""
 
 import math
 
 import numpy as np
+
+from psverify.features import pitch_synchronous_cepstra, select_steady_state, temporal_features
+from psverify.pitch import periods_from_marks
+
+
+def composed_vector(buffer, marks):
+    """The 16 feature values of a preprocessed buffer, composed stage by
+    stage: region selection, temporal counts, then its cepstra alone."""
+    region = select_steady_state(buffer, periods_from_marks(marks))
+    return np.concatenate((
+        temporal_features(buffer, region).vector, pitch_synchronous_cepstra(buffer, region).c
+    ))
 
 
 def brute_extrema(x):

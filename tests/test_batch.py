@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import first_ill_conditioned, loop_cepstra
+from helpers import composed_vector, first_ill_conditioned, loop_cepstra
 from psverify import features
 from psverify.evaluation import VOWEL_FORMANTS, run_evaluation, synth_vowel
 from psverify.features import (
@@ -20,9 +20,7 @@ from psverify.features import (
     cepstral_lags,
     levinson_durbin,
     lpc_to_cepstral,
-    pitch_synchronous_cepstra,
     select_steady_state,
-    temporal_features,
 )
 from psverify.pipeline import (
     PipelineError,
@@ -46,10 +44,7 @@ def solo_vectors(small_corpus):
     vectors = {}
     for entry in entries:
         buffer = preprocess_signal(load_signal(entry.path))
-        region = select_steady_state(buffer, periods_from_marks(detect_marks(buffer)))
-        composed = np.concatenate((
-            temporal_features(buffer, region).vector, pitch_synchronous_cepstra(buffer, region).c
-        ))
+        composed = composed_vector(buffer, detect_marks(buffer))
         vectors[entry.path] = (utterance_features_from_file(entry.path, entry.vowel).vector, composed)
     return vectors
 

@@ -4,9 +4,9 @@ import wave
 import numpy as np
 import pytest
 
+from helpers import composed_vector
 from psverify import cli
 from psverify.evaluation import ManifestEntry, write_manifest
-from psverify.features import extract_utterance_features
 from psverify.modeling import ModelSet, SpeakerModel, save_models
 from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
 from psverify.signal_io import load_text_samples
@@ -138,7 +138,10 @@ class TestSettingsSurface:
         assert exc.value.code == 1
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("flag", [["--sample-rate", "8000"], ["--config=none.cfg"], ["--min-f0", "60"]])
+    @pytest.mark.parametrize("flag", [
+        ["--sample-rate", "8000"], ["--config=none.cfg"], ["--min-f0", "60"],
+        ["--sample", "8000"], ["--conf=x"],  # prefixes argparse would take
+    ])
     def test_setting_before_synth_command_says_where_it_goes(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -244,16 +247,15 @@ class TestRecognitionCommands:
         test_entry = next(e for e in entries if e.split == "test")
         cfg = PipelineConfig()
         buffer = preprocess_signal(load_signal(test_entry.path, cfg), cfg)
-        feats = extract_utterance_features(buffer, detect_marks(buffer, cfg), test_entry.vowel)
+        vector = composed_vector(buffer, detect_marks(buffer, cfg))
+        temporal, cepstral = vector[:4], vector[4:]
         # one model matches only the cepstra, the other only the temporal block
         crafted = ModelSet()
         crafted.add(SpeakerModel(
-            "ra", test_entry.vowel,
-            np.concatenate((feats.temporal.vector + 5.0, feats.cepstral.c)), 1,
+            "ra", test_entry.vowel, np.concatenate((temporal + 5.0, cepstral)), 1,
         ))
         crafted.add(SpeakerModel(
-            "rb", test_entry.vowel,
-            np.concatenate((feats.temporal.vector, feats.cepstral.c + 5.0)), 1,
+            "rb", test_entry.vowel, np.concatenate((temporal, cepstral + 5.0)), 1,
         ))
         crafted_path = tmp_path / "crafted.txt"
         save_models(crafted, crafted_path)
@@ -381,6 +383,32 @@ class TestSynthCommand:
         ])
         assert code == 0
         assert out.exists()
+
+    def test_abbreviated_setting_after_vowel_is_read(self, tmp_path):
+        out = tmp_path / "v.txt"
+        code = cli.main([
+            "synth", "vowel", "--sample", "8000", "--out", str(out), "--f0", "120", "--duration", "0.1",
+        ])
+        assert code == 0
+        assert len(out.read_text().split()) == 800 + 2 * 400  # 0.1 s plus two 0.05 s pads at 8 kHz
+
+    @pytest.mark.parametrize("argv, message", [
+        (["vowel", "--duration", "inf"], "duration_s must be finite and positive, got inf"),
+        (["vowel", "--duration", "nan"], "duration_s must be finite and positive, got nan"),
+        (["vowel", "--silence-pad", "inf"], "silence_pad_s must be finite and non-negative, got inf"),
+        (["vowel", "--silence-pad", "nan"], "silence_pad_s must be finite and non-negative, got nan"),
+        (["vowel", "--silence-pad", "-1"], "silence_pad_s must be finite and non-negative, got -1.0"),
+        (["vowel", "--formants", "500:inf"], "formant bandwidth must be finite and positive, got inf"),
+        (["corpus", "--duration", "inf"], "duration_s must be finite and positive, got inf"),
+    ])
+    def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        what, *sizes = argv
+        target = ["--out", "v.txt", "--f0", "120"] if what == "vowel" else ["--out", "c"]
+        assert cli.main(["synth", what, *target, *sizes]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "v.txt").exists()
+        assert list(tmp_path.glob("c/*")) == []
 
     def test_synth_without_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

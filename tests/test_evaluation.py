@@ -57,6 +57,21 @@ class TestSynthVowel:
         with pytest.raises(ValueError, match="three"):
             synth_vowel(100.0, ((500, 60), (1000, 60), (1500, 60), (2000, 60)), 0.2)
 
+    @pytest.mark.parametrize("duration_s", [0.0, -0.1, np.inf, np.nan])
+    def test_duration_must_be_finite_and_positive(self, duration_s):
+        with pytest.raises(ValueError, match="duration_s must be finite and positive"):
+            synth_vowel(100.0, VOWEL_FORMANTS["a"], duration_s)
+
+    @pytest.mark.parametrize("silence_pad_s", [-1.0, np.inf, np.nan])
+    def test_silence_pad_must_be_finite_and_non_negative(self, silence_pad_s):
+        with pytest.raises(ValueError, match="silence_pad_s must be finite and non-negative"):
+            synth_vowel(100.0, VOWEL_FORMANTS["a"], 0.2, silence_pad_s=silence_pad_s)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -60.0, np.inf, np.nan])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        with pytest.raises(ValueError, match="formant bandwidth must be finite and positive"):
+            synth_vowel(100.0, ((500.0, bandwidth),), 0.2)
+
 
 class TestSyntheticCorpus:
     def test_counts_and_manifest(self, tmp_path):
@@ -147,7 +162,7 @@ class TestAggregation:
         report = aggregate_outcomes(outcomes)
         wrong = [
             o for o in outcomes
-            if o.combined_accepted and o.combined_pick != o.speaker_id
+            if o.combined_pick is not None and o.combined_pick != o.speaker_id
         ]
         assert len(wrong) == report.systems["combined"].wrong
         for o in wrong:

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import brute_extrema, random_stable_predictor, spectral_cepstra, toeplitz_lpc
+from helpers import brute_extrema, composed_vector, random_stable_predictor, spectral_cepstra, toeplitz_lpc
 from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
 from psverify.features import (
     CepstralVector,
-    SteadyStateRegion,
     TemporalFeatures,
+    UtteranceFeatures,
     autocorrelation,
+    cepstral_lags,
     count_extrema,
-    extract_utterance_features,
     levinson_durbin,
     lpc_to_cepstral,
     pitch_synchronous_cepstra,
@@ -30,8 +30,12 @@ def tiled_periods(n_periods, period_len=10, peak_period=None, rate=16000):
     x = rng.uniform(-1.0, 1.0, n_periods * period_len)
     if peak_period is not None:
         x[peak_period * period_len + period_len // 2] = 99.0
-    periods = [(i * period_len, period_len) for i in range(n_periods)]
-    return buf(x, rate), periods
+    return buf(x, rate), tiled_rows(n_periods, period_len)
+
+
+def tiled_rows(n_periods, period_len):
+    """(start, length) rows of n_periods back-to-back periods of period_len."""
+    return np.column_stack((np.arange(n_periods) * period_len, np.full(n_periods, period_len)))
 
 
 class TestSelectSteadyState:
@@ -39,16 +43,16 @@ class TestSelectSteadyState:
         buffer, periods = tiled_periods(30, peak_period=15)
         region = select_steady_state(buffer, periods)
         assert len(region) == 20
-        assert region.periods[0] == (50, 10)
-        assert region.periods[-1] == (240, 10)
-        assert region.peak_offset == 10
+        np.testing.assert_array_equal(region, periods[5:25])
+        start, length = region[10]
+        assert start <= np.argmax(np.abs(buffer.samples)) < start + length
 
     def test_clipped_near_start(self):
         buffer, periods = tiled_periods(30, peak_period=3)
         region = select_steady_state(buffer, periods)
         assert len(region) == 13
-        assert region.periods[0] == (0, 10)
-        assert region.periods[-1] == (120, 10)
+        assert region[0].tolist() == [0, 10]
+        assert region[-1].tolist() == [120, 10]
 
     def test_exactly_three_periods(self):
         buffer, periods = tiled_periods(3, peak_period=1)
@@ -109,7 +113,7 @@ class TestCountExtrema:
 
 class TestTemporalFeatures:
     def region_of(self, periods):
-        return SteadyStateRegion(tuple(periods), 0)
+        return np.array(periods, dtype=np.int64).reshape(-1, 2)
 
     def test_two_periods_averaged(self):
         # period A counts (2,1,0,0), period B counts (0,0,1,2)
@@ -134,6 +138,10 @@ class TestTemporalFeatures:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             TemporalFeatures(-1.0, 0.0, 0.0, 0.0)
+
+    def test_zero_row_region_rejected(self):
+        with pytest.raises(ValueError, match="no pitch periods"):
+            temporal_features(buf([0.5, 2, 0.5, 2, 0.5]), self.region_of([]))
 
 
 class TestAutocorrelation:
@@ -232,46 +240,48 @@ class TestPitchSynchronousCepstra:
             2 * np.pi * 7 * np.arange(period_len) / period_len
         )
         x = np.tile(one, n_periods)
-        periods = [(i * period_len, period_len) for i in range(n_periods)]
-        return buf(x), periods
+        return buf(x), tiled_rows(n_periods, period_len)
 
     def manual_average(self, buffer, region, n_frames):
         acc = np.zeros(12)
         for i in range(n_frames):
-            start = region.periods[i][0]
-            stop = region.periods[i + 2][0] + region.periods[i + 2][1]
+            start = region[i, 0]
+            stop = region[i + 2, 0] + region[i + 2, 1]
             r = autocorrelation(buffer.samples[start:stop], 12)
             a, _, _ = levinson_durbin(r, 12)
             acc += lpc_to_cepstral(a).c
         return acc / n_frames
 
     def test_twenty_periods_use_18_frames(self):
-        buffer, periods = self.periodic_buffer(20)
-        region = SteadyStateRegion(tuple(periods), 0)
+        buffer, region = self.periodic_buffer(20)
         result = pitch_synchronous_cepstra(buffer, region)
         np.testing.assert_array_equal(result.c, self.manual_average(buffer, region, 18))
 
     def test_five_periods_use_3_frames(self):
-        buffer, periods = self.periodic_buffer(5)
-        region = SteadyStateRegion(tuple(periods), 0)
+        buffer, region = self.periodic_buffer(5)
         result = pitch_synchronous_cepstra(buffer, region)
         np.testing.assert_array_equal(result.c, self.manual_average(buffer, region, 3))
 
     def test_two_periods_rejected(self):
-        buffer, periods = self.periodic_buffer(2)
-        region = SteadyStateRegion(tuple(periods), 0)
+        buffer, region = self.periodic_buffer(2)
         with pytest.raises(ValueError, match="region too short"):
             pitch_synchronous_cepstra(buffer, region)
 
+    def test_zero_row_region_rejected(self):
+        buffer, region = self.periodic_buffer(3)
+        with pytest.raises(ValueError, match="region too short: 0 periods"):
+            cepstral_lags(buffer, region[:0])
+
     def test_identical_periods_average_equals_single_frame(self):
-        buffer, periods = self.periodic_buffer(6)
-        region = SteadyStateRegion(tuple(periods), 0)
+        buffer, region = self.periodic_buffer(6)
         averaged = pitch_synchronous_cepstra(buffer, region)
         single = self.manual_average(buffer, region, 1)
         np.testing.assert_allclose(averaged.c, single, rtol=1e-12)
 
 
 class TestExtractUtteranceFeatures:
+    """The 16 values of one utterance, composed stage by stage."""
+
     def preprocessed(self, seed=21, f0=130.0):
         cfg = PipelineConfig()
         raw = synth_vowel(f0, VOWEL_FORMANTS["i"], 0.4, 16000, seed=seed, silence_pad_s=0.05)
@@ -280,30 +290,26 @@ class TestExtractUtteranceFeatures:
 
     def test_deterministic(self):
         pre, marks = self.preprocessed()
-        first = extract_utterance_features(pre, marks, "i")
-        second = extract_utterance_features(pre, marks, "i")
-        np.testing.assert_array_equal(first.vector, second.vector)
+        np.testing.assert_array_equal(composed_vector(pre, marks), composed_vector(pre, marks))
 
     def test_vector_layout(self):
         pre, marks = self.preprocessed()
-        feats = extract_utterance_features(pre, marks, "i")
-        assert feats.vector.shape == (16,)
-        np.testing.assert_array_equal(feats.vector[:4], feats.temporal.vector)
-        np.testing.assert_array_equal(feats.vector[4:], feats.cepstral.c)
+        assert composed_vector(pre, marks).shape == (16,)
+        feats = UtteranceFeatures(TemporalFeatures(1.0, 2.0, 3.0, 4.0), CepstralVector(np.arange(5.0, 17.0)), "i")
+        np.testing.assert_array_equal(feats.vector, np.arange(1.0, 17.0))
 
     def test_temporal_scale_invariance(self):
         pre, marks = self.preprocessed()
-        reference = extract_utterance_features(pre, marks, "i")
+        reference = composed_vector(pre, marks)
         for scale in (2.0, 3.7):
             scaled = SampleBuffer(pre.samples * scale, pre.sample_rate_hz)
-            feats = extract_utterance_features(scaled, marks, "i")
-            np.testing.assert_array_equal(feats.temporal.vector, reference.temporal.vector)
-            np.testing.assert_allclose(feats.cepstral.c, reference.cepstral.c, atol=1e-9)
+            vector = composed_vector(scaled, marks)
+            np.testing.assert_array_equal(vector[:4], reference[:4])
+            np.testing.assert_allclose(vector[4:], reference[4:], atol=1e-9)
 
     def test_unknown_vowel_rejected(self):
-        pre, marks = self.preprocessed()
         with pytest.raises(ValueError, match="vowel"):
-            extract_utterance_features(pre, marks, "x")
+            UtteranceFeatures(TemporalFeatures(1.0, 0.0, 0.0, 1.0), CepstralVector(np.zeros(12)), "x")
 
 
 class TestCepstralVector:

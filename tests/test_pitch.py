@@ -13,8 +13,9 @@ from psverify.pitch import (
     compute_stats,
     extract_half_peaks,
     mark_pitch_periods,
+    _polarity_stats,
+    _thresholds,
     periods_from_marks,
-    threshold_for_peak,
 )
 from psverify.signal_io import SampleBuffer
 
@@ -135,33 +136,32 @@ class TestChoosePolarity:
 
 
 class TestThresholdForPeak:
-    def peak(self, mpd, value=10000.0, polarity="positive"):
-        return HalfPeak(polarity, 0, value, mpd)
+    def threshold(self, mpd, value=10000.0, polarity="positive"):
+        """The threshold `_thresholds` derives for one half."""
+        (threshold,) = _thresholds(np.array([value]), np.array([mpd]), *_polarity_stats(polarity, STATS))
+        return float(threshold)
 
     def test_x5_gives_9500(self):
         # MPD in interval 5 of [0, AMPV]: x = 5
-        assert threshold_for_peak(self.peak(45.0), STATS) == pytest.approx(9500.0)
+        assert self.threshold(45.0) == pytest.approx(9500.0)
 
     def test_third_interval_above_ampv_gives_x13(self):
-        assert threshold_for_peak(self.peak(125.0), STATS) == pytest.approx(8700.0)
+        assert self.threshold(125.0) == pytest.approx(8700.0)
 
     def test_zero_mpd_gives_x1(self):
-        assert threshold_for_peak(self.peak(0.0), STATS) == pytest.approx(9900.0)
+        assert self.threshold(0.0) == pytest.approx(9900.0)
 
     def test_mpd_at_ampv_gives_x10(self):
-        assert threshold_for_peak(self.peak(100.0), STATS) == pytest.approx(9000.0)
+        assert self.threshold(100.0) == pytest.approx(9000.0)
 
     def test_mpd_at_max_gives_x20(self):
-        assert threshold_for_peak(self.peak(200.0), STATS) == pytest.approx(8000.0)
+        assert self.threshold(200.0) == pytest.approx(8000.0)
 
     def test_negative_polarity_signed(self):
-        thr = threshold_for_peak(self.peak(45.0, value=-10000.0, polarity="negative"), STATS)
-        assert thr == pytest.approx(-9500.0)
+        assert self.threshold(45.0, value=-10000.0, polarity="negative") == pytest.approx(-9500.0)
 
     def test_threshold_magnitude_monotone_in_mpd(self):
-        magnitudes = [
-            abs(threshold_for_peak(self.peak(m), STATS)) for m in np.linspace(0, 200, 41)
-        ]
+        magnitudes = [abs(self.threshold(m)) for m in np.linspace(0, 200, 41)]
         assert all(a >= b for a, b in zip(magnitudes, magnitudes[1:]))
 
 
@@ -227,11 +227,16 @@ class TestMarkPitchPeriods:
 class TestPeriodsFromMarks:
     def test_equal_periods(self):
         marks = PitchMarks(np.array([0, 160, 320]), "positive")
-        assert periods_from_marks(marks) == [(0, 160), (160, 160)]
+        assert periods_from_marks(marks).tolist() == [[0, 160], [160, 160]]
 
     def test_unequal_periods(self):
         marks = PitchMarks(np.array([0, 150, 320]), "positive")
-        assert [length for _, length in periods_from_marks(marks)] == [150, 170]
+        assert periods_from_marks(marks)[:, 1].tolist() == [150, 170]
+
+    def test_rows_are_int64_start_length_pairs(self):
+        periods = periods_from_marks(PitchMarks(np.array([3, 40, 90, 161]), "negative"))
+        assert periods.dtype == np.int64 and periods.shape == (3, 2)
+        assert periods.tolist() == [[3, 37], [40, 50], [90, 71]]
 
     def test_single_mark_rejected(self):
         with pytest.raises(ValueError, match="two pitch marks"):

@@ -11,6 +11,7 @@ from helpers import (
     brute_argmin,
     brute_extrema,
     brute_half_peaks,
+    composed_vector,
     loop_cepstra,
     loop_levinson,
     reference_load_models,
@@ -25,11 +26,9 @@ from psverify.features import (
     LPC_ORDER,
     MAX_CEPSTRAL_FRAMES,
     CepstralVector,
-    SteadyStateRegion,
     TemporalFeatures,
     UtteranceFeatures,
     autocorrelation,
-    extract_utterance_features,
     levinson_durbin,
     lpc_to_cepstral,
     pitch_synchronous_cepstra,
@@ -99,8 +98,7 @@ def signal_with_region(draw, min_length):
         x = rng.integers(-3, 4, n).astype(np.float64)
     else:
         x = rng.normal(0.0, 1.0, n)
-    periods = tuple((int(s), length) for s, length in zip(starts, lengths))
-    return x, SteadyStateRegion(periods, 0)
+    return x, np.column_stack((starts, lengths))
 
 
 @PROPERTY
@@ -108,7 +106,7 @@ def signal_with_region(draw, min_length):
 def test_temporal_features_match_per_period_loop(case):
     x, region = case
     totals = np.zeros(4)
-    for start, length in region.periods:
+    for start, length in region.tolist():
         totals += brute_extrema(x[start : start + length])
     feats = temporal_features(SampleBuffer(x, 16000), region)
     np.testing.assert_array_equal(feats.vector, totals / len(region))
@@ -123,8 +121,8 @@ def test_cepstra_equal_per_frame_chain(case):
     try:
         acc = np.zeros(LPC_ORDER)
         for i in range(n_frames):
-            start = region.periods[i][0]
-            last_start, last_len = region.periods[i + 2]
+            start = region[i, 0]
+            last_start, last_len = region[i + 2]
             a, _, _ = levinson_durbin(autocorrelation(x[start : last_start + last_len]))
             acc += lpc_to_cepstral(a).c
     except ValueError:
@@ -182,7 +180,7 @@ def test_pipeline_raises_only_value_error(x):
     buffer = SampleBuffer(x, RATE)
     try:
         trimmed = preprocess_signal(buffer)
-        extract_utterance_features(trimmed, detect_marks(trimmed), "a")
+        composed_vector(trimmed, detect_marks(trimmed))
     except ValueError:
         pass
 

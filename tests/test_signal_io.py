@@ -3,9 +3,9 @@ import wave
 import numpy as np
 import pytest
 
+from psverify.pipeline import PipelineConfig, load_signal
 from psverify.signal_io import (
     SampleBuffer,
-    load_signal,
     load_text_samples,
     load_wav_pcm16,
     write_text_samples,
@@ -193,7 +193,8 @@ class TestWav:
     def test_dispatch_by_extension(self, tmp_path):
         wav_path = tmp_path / "x.wav"
         write_wav(wav_path, np.arange(100))
-        assert load_signal(wav_path).sample_rate_hz == 16000
+        # the WAV header's rate wins over the configured one
+        assert load_signal(wav_path, PipelineConfig(sample_rate_hz=8000)).sample_rate_hz == 16000
         txt_path = tmp_path / "x.txt"
         txt_path.write_text("5\n")
-        assert load_signal(txt_path, 8000).sample_rate_hz == 8000
+        assert load_signal(txt_path, PipelineConfig(sample_rate_hz=8000)).sample_rate_hz == 8000
