@@ -135,6 +135,13 @@ UTTERANCE_F0_SPREAD = 0.02
 UTTERANCE_FORMANT_SPREAD = 0.03
 
 
+def _check_sizes(duration_s: float, silence_pad_s: float) -> None:
+    if not 0 < duration_s < np.inf:
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    if not 0 <= silence_pad_s < np.inf:
+        raise ValueError(f"silence_pad_s must be finite and non-negative, got {silence_pad_s}")
+
+
 def synth_vowel(
     f0_hz: float,
     formants,
@@ -156,10 +163,7 @@ def synth_vowel(
     # imported here: scipy.signal alone takes most of a cold `import psverify.cli`
     from scipy.signal import lfilter
 
-    if not 0 < duration_s < np.inf:
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
-    if not 0 <= silence_pad_s < np.inf:
-        raise ValueError(f"silence_pad_s must be finite and non-negative, got {silence_pad_s}")
+    _check_sizes(duration_s, silence_pad_s)
     if not 0 < f0_hz < sample_rate_hz / 2:
         raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
     formants = tuple(formants)
@@ -210,6 +214,7 @@ def make_synthetic_corpus(
         raise ValueError("need at least two speakers")
     if train_per_vowel < 1 or test_per_vowel < 0:
         raise ValueError("invalid utterance counts")
+    _check_sizes(duration_s, silence_pad_s)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -32,9 +32,9 @@ class PipelineConfig:
     sample_rate_hz: int = 16000
     frame_len: int = 100
     frame_shift: int = 50
-    silence_multiplier: float = preprocess.SILENCE_MULTIPLIER
-    normalization_target: float = preprocess.NORMALIZATION_TARGET
-    silence_frames: int = preprocess.SILENCE_FRAMES
+    silence_multiplier: float = 1.10
+    normalization_target: float = 10000.0
+    silence_frames: int = 10
     min_f0_hz: float = 50.0
     max_f0_hz: float = 500.0
 
@@ -42,13 +42,15 @@ class PipelineConfig:
         for field in fields(self):
             if not 0 < getattr(self, field.name) < math.inf:
                 raise ValueError(f"{field.name} must be finite and positive")
+        if self.frame_shift > self.frame_len:
+            raise ValueError(f"need frame_shift <= frame_len, got {self.frame_shift}/{self.frame_len}")
+        if not 1e-100 <= self.normalization_target <= 1e100:
+            # the frame energies square the samples: far past this range they overflow or underflow
+            raise ValueError(
+                f"normalization_target must be within [1e-100, 1e100], got {self.normalization_target:g}"
+            )
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
-        self.frame_plan  # built now, so a bad frame pair is refused with the config
-
-    @property
-    def frame_plan(self) -> preprocess.FramePlan:
-        return preprocess.FramePlan(self.frame_len, self.frame_shift)
 
     def period_bounds(self, sample_rate_hz: int) -> tuple[int, int]:
         min_period = max(2, math.floor(sample_rate_hz / self.max_f0_hz))
@@ -66,12 +68,11 @@ def load_signal(path, config: PipelineConfig = PipelineConfig()) -> SampleBuffer
 
 def preprocess_signal(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:
     """DC removal, peak normalization, silence trimming, in that order."""
-    buffer = preprocess.remove_dc(buffer)
-    buffer = preprocess.normalize_peak(buffer, config.normalization_target)
-    profile = preprocess.energy_profile(
-        buffer, config.frame_plan, config.silence_frames, config.silence_multiplier
+    x = preprocess.normalize_peak(preprocess.remove_dc(buffer.samples), config.normalization_target)
+    start, stop = preprocess.speech_span(
+        x, config.frame_len, config.frame_shift, config.silence_frames, config.silence_multiplier
     )
-    return preprocess.trim_silence(buffer, profile, config.frame_plan)
+    return SampleBuffer(x[start:stop], buffer.sample_rate_hz)
 
 
 def detect_marks(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()) -> PitchMarks:

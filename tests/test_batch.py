@@ -234,3 +234,13 @@ class TestStageTags:
             utterance_features_from_file(missing, "a")
         (result,) = features_of_files([(missing, "a")])
         assert type(result) is FileNotFoundError
+
+    def test_overflowing_file_fails_alone_in_a_pass(self, small_corpus, solo_vectors, tmp_path):
+        # finite samples whose sum overflows float64: refused, with no
+        # RuntimeWarning to escape the pass under the suite's filterwarnings
+        huge = write_signal(tmp_path / "huge.txt", 1.7e308 * np.sin(np.arange(1, 6001) * 0.1))
+        good = small_corpus[1][0]
+        bad, result = features_of_files([(huge, "a"), (good.path, good.vowel)])
+        assert isinstance(bad, PipelineError)
+        assert (bad.stage, str(bad)) == ("preprocess", "samples too large: removing their mean overflows float64")
+        np.testing.assert_array_equal(result.vector, solo_vectors[good.path][0])

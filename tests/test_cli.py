@@ -364,6 +364,15 @@ class TestNonFiniteSettings:
         assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
         assert "min_f0_hz must be finite and positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["1e-200", "1e200"])
+    def test_normalization_target_out_of_range_is_data_error(self, target, vowel_file, tmp_path, capsys):
+        # beyond [1e-100, 1e100] the frame energies underflow or overflow and
+        # a clean vowel would read as "no speech detected"
+        out = tmp_path / "pre.txt"
+        assert cli.main(["preprocess", str(vowel_file), str(out), "--normalization-target", target]) == 2
+        assert "normalization_target must be within [1e-100, 1e100]" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSynthCommand:
     def test_corpus_generation(self, tmp_path, capsys):
@@ -400,6 +409,7 @@ class TestSynthCommand:
         (["vowel", "--silence-pad", "-1"], "silence_pad_s must be finite and non-negative, got -1.0"),
         (["vowel", "--formants", "500:inf"], "formant bandwidth must be finite and positive, got inf"),
         (["corpus", "--duration", "inf"], "duration_s must be finite and positive, got inf"),
+        (["corpus", "--silence-pad", "nan"], "silence_pad_s must be finite and non-negative, got nan"),
     ])
     def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -408,7 +418,7 @@ class TestSynthCommand:
         assert cli.main(["synth", what, *target, *sizes]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
-        assert list(tmp_path.glob("c/*")) == []
+        assert not (tmp_path / "c").exists()  # sizes are checked before the corpus directory is made
 
     def test_synth_without_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
