@@ -24,6 +24,9 @@ def normalize_peak(x: np.ndarray, target: float) -> np.ndarray:
     if not np.isfinite(scale):
         # all zeros, or a subnormal residue whose reciprocal overflows
         raise ValueError(f"silent signal: cannot normalize samples peaking at {peak:g}")
+    if scale < np.finfo(np.float64).tiny:
+        # a zero scale would silence the signal, a subnormal one would lose precision
+        raise ValueError(f"scaling the peak {peak:g} to {target:g} underflows float64")
     return x * scale
 
 

@@ -81,6 +81,12 @@ class TestNormalizePeak:
     def test_custom_target(self):
         np.testing.assert_allclose(normalize_peak(np.array([2.0, -4.0]), 1.0), [0.5, -1.0])
 
+    def test_underflowing_scale_rejected(self):
+        # 1e-100 / 1e250 underflows to 0.0, which would zero every sample
+        x = 1e250 * np.sin(np.arange(1, 1001) * 0.1)
+        with pytest.raises(ValueError, match="scaling the peak .* to 1e-100 underflows float64"):
+            normalize_peak(x, 1e-100)
+
 
 class TestEnergyProfile:
     """The frame energies and the strict 110% rule, seen through the span."""
@@ -90,6 +96,21 @@ class TestEnergyProfile:
         # the silence reference is (9 * 0 + 5e5) / 10 = 5e4, so frame 9 is speech
         x = np.concatenate((np.zeros(500), np.full(500, 1000.0)))
         assert span(x) == (450, 1000)
+        # the reference averages the k lowest frames: at k = 17 it is (5e5 + 7 * 1e6) / 17,
+        # and 1.10 times that stays below frame 9's 5e5; at k = 18 it passes 5e5
+        assert span(x, silence_frames=17) == (450, 1000)
+        assert span(x, silence_frames=18) == (500, 1000)
+
+    def test_default_silence_frames_is_ten(self):
+        # 10-sample frames: 8 silent, then energies 1, 10 and 100 ahead of four at 1e4;
+        # 1.10 times the mean of the 9, 10 and 11 lowest is 0.12, 1.21 and 11.1, so each
+        # added reference frame moves the span start past one more quiet frame
+        x = np.repeat([0.0] * 8 + [1.0, np.sqrt(10.0), 10.0] + [100.0] * 4, 10)
+        frames = {"frame_len": 10, "frame_shift": 10}
+        assert span(x, silence_frames=9, **frames) == (80, 150)
+        assert span(x, silence_frames=10, **frames) == (90, 150)
+        assert span(x, silence_frames=11, **frames) == (100, 150)
+        assert span(x, **frames) == (90, 150)
 
     def test_exact_boundary_is_non_speech(self):
         # crafted so frame 12's energy equals 1.10 * silence (4.0) exactly in
