@@ -207,7 +207,7 @@ def _cmd_preprocess(args, cfg, weights) -> int:
 def _cmd_pitch_marks(args, cfg, weights) -> int:
     buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
     marks = pipeline.detect_marks(buffer, cfg)
-    print(f"polarity {marks.polarity_used}")
+    print("polarity", "positive" if marks.polarity_used > 0 else "negative")
     for index in marks.mark_indices:
         print(int(index))
     return 0

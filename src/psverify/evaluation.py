@@ -142,6 +142,21 @@ def _check_sizes(duration_s: float, silence_pad_s: float) -> None:
         raise ValueError(f"silence_pad_s must be finite and non-negative, got {silence_pad_s}")
 
 
+def _check_voice(f0_hz: float, formants, sample_rate_hz: int) -> tuple:
+    """The formants as a tuple, once the f0 and every formant fit the rate."""
+    if not 0 < f0_hz < sample_rate_hz / 2:
+        raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
+    formants = tuple(formants)
+    if len(formants) > 3:
+        raise ValueError("at most three formants")
+    for centre, bandwidth in formants:
+        if not 0 < centre < sample_rate_hz / 2:
+            raise ValueError(f"formant centre {centre} Hz beyond Nyquist")
+        if not 0 < bandwidth < np.inf:
+            raise ValueError(f"formant bandwidth must be finite and positive, got {bandwidth}")
+    return formants
+
+
 def synth_vowel(
     f0_hz: float,
     formants,
@@ -164,16 +179,7 @@ def synth_vowel(
     from scipy.signal import lfilter
 
     _check_sizes(duration_s, silence_pad_s)
-    if not 0 < f0_hz < sample_rate_hz / 2:
-        raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
-    formants = tuple(formants)
-    if len(formants) > 3:
-        raise ValueError("at most three formants")
-    for centre, bandwidth in formants:
-        if not 0 < centre < sample_rate_hz / 2:
-            raise ValueError(f"formant centre {centre} Hz beyond Nyquist")
-        if not 0 < bandwidth < np.inf:
-            raise ValueError(f"formant bandwidth must be finite and positive, got {bandwidth}")
+    formants = _check_voice(f0_hz, formants, sample_rate_hz)
     period = int(round(sample_rate_hz / f0_hz))
     n = int(round(duration_s * sample_rate_hz))
     warmup = int(round(WARMUP_S * sample_rate_hz))
@@ -207,20 +213,18 @@ def make_synthetic_corpus(
 
     Each synthetic speaker gets a distinct fundamental and a vocal-tract
     scale applied to the vowel formant table; every utterance shifts both
-    slightly so train and test samples differ. Returns (manifest_path,
-    entries).
+    slightly so train and test samples differ. Every utterance is drawn and
+    checked before the directory is made. Returns (manifest_path, entries).
     """
     if n_speakers < 2:
         raise ValueError("need at least two speakers")
     if train_per_vowel < 1 or test_per_vowel < 0:
         raise ValueError("invalid utterance counts")
     _check_sizes(duration_s, silence_pad_s)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     f0s = np.linspace(95.0, 250.0, n_speakers) + rng.uniform(-2.0, 2.0, n_speakers)
     scales = np.linspace(0.88, 1.12, n_speakers)
-    entries = []
+    plan = []  # (entry, f0, formants, seed) per utterance
     for s in range(n_speakers):
         sid = f"s{s + 1:02d}"
         for vowel in VOWELS:
@@ -234,13 +238,15 @@ def make_synthetic_corpus(
                     for centre, bw in base
                 )
                 utt_seed = int(rng.integers(0, 2**31))
-                buffer = synth_vowel(
-                    f0, formants, duration_s, sample_rate_hz,
-                    seed=utt_seed, silence_pad_s=silence_pad_s,
-                )
-                name = f"{sid}_{vowel}_{split}{u:02d}.txt"
-                write_text_samples(buffer, out_dir / name)
-                entries.append(ManifestEntry(name, sid, vowel, split))
+                entry = ManifestEntry(f"{sid}_{vowel}_{split}{u:02d}.txt", sid, vowel, split)
+                plan.append((entry, f0, _check_voice(f0, formants, sample_rate_hz), utt_seed))
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for entry, f0, formants, utt_seed in plan:
+        buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
+                             seed=utt_seed, silence_pad_s=silence_pad_s)
+        write_text_samples(buffer, out_dir / entry.path)
+    entries = [entry for entry, *_ in plan]
     manifest_path = out_dir / "manifest.csv"
     write_manifest(entries, manifest_path)
     return manifest_path, entries

@@ -51,6 +51,11 @@ class PipelineConfig:
             )
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
+        if self.min_f0_hz >= self.sample_rate_hz / 2:
+            # period_bounds would give max_period <= 2 = min_period
+            raise ValueError(
+                f"need min_f0_hz < sample_rate_hz / 2, got {self.min_f0_hz:g}/{self.sample_rate_hz}"
+            )
 
     def period_bounds(self, sample_rate_hz: int) -> tuple[int, int]:
         min_period = max(2, math.floor(sample_rate_hz / self.max_f0_hz))

@@ -5,10 +5,11 @@ The signal is split into maximal runs of strictly positive / strictly
 negative samples ("halves"; zero samples belong to no half). Each half
 contributes its peak and an MPD, the larger absolute difference between
 that peak and the peaks of the neighbouring halves of the same polarity.
-The polarity whose MPDs are more consistent is scanned in time order:
-starting from the first half, the next mark lands on the peak of the first
-half whose magnitude reaches a threshold derived from the previously
-marked peak, subject to period bounds.
+A polarity is the sign, +1 or -1, of its halves; the one whose MPDs are
+more consistent is scanned in time order: starting from the first half,
+the next mark lands on the peak of the first half whose magnitude reaches
+a threshold derived from the previously marked peak, subject to period
+bounds.
 """
 
 from dataclasses import dataclass
@@ -17,13 +18,10 @@ import numpy as np
 
 from .signal_io import SampleBuffer
 
-POSITIVE = "positive"
-NEGATIVE = "negative"
-
 
 @dataclass(frozen=True)
 class HalfPeak:
-    polarity: str
+    polarity: int  # the half's sign, +1 or -1
     peak_index: int
     peak_value: float
     mpd: float
@@ -63,27 +61,16 @@ class HalfPeaks:
         for sign, index, value, mpd in zip(
             self.signs.tolist(), self.indices.tolist(), self.values.tolist(), self.mpds.tolist()
         ):
-            yield HalfPeak(POSITIVE if sign > 0 else NEGATIVE, index, value, mpd)
-
-
-@dataclass(frozen=True)
-class PitchStats:
-    """Per-polarity mean / spread / maximum of the MPDs."""
-
-    ampv_pos: float
-    ampv_neg: float
-    max_mpd_pos: float
-    max_mpd_neg: float
-    std_mpd_pos: float
-    std_mpd_neg: float
+            yield HalfPeak(sign, index, value, mpd)
 
 
 @dataclass(frozen=True, eq=False)
 class PitchMarks:
-    """Strictly increasing pitch-cycle start indices."""
+    """Strictly increasing pitch-cycle start indices and the sign of the
+    halves they were placed on."""
 
     mark_indices: np.ndarray
-    polarity_used: str
+    polarity_used: int
 
     def __post_init__(self):
         arr = np.asarray(self.mark_indices, dtype=np.int64)
@@ -92,7 +79,7 @@ class PitchMarks:
             raise ValueError("need at least two pitch marks")
         if np.any(np.diff(arr) <= 0):
             raise ValueError("pitch marks must be strictly increasing")
-        if self.polarity_used not in (POSITIVE, NEGATIVE):
+        if self.polarity_used not in (1, -1):
             raise ValueError(f"unknown polarity {self.polarity_used!r}")
 
 
@@ -133,32 +120,23 @@ def extract_half_peaks(buffer: SampleBuffer) -> HalfPeaks:
     return HalfPeaks(signs, indices, values, mpds)
 
 
-def compute_stats(peaks: HalfPeaks) -> PitchStats:
-    """AMPV (mean MPD), spread and maximum per polarity."""
-    pos = peaks.mpds[peaks.signs > 0]
-    neg = peaks.mpds[peaks.signs < 0]
-    if pos.size == 0 or neg.size == 0:
+def compute_stats(peaks: HalfPeaks) -> dict[int, tuple[float, float, float]]:
+    """(AMPV (mean MPD), spread, maximum) of the MPDs, keyed by sign."""
+    mpds = {sign: peaks.mpds[peaks.signs == sign] for sign in (1, -1)}
+    if mpds[1].size == 0 or mpds[-1].size == 0:
         raise ValueError("need at least one half of each polarity")
-    return PitchStats(
-        ampv_pos=float(pos.mean()),
-        ampv_neg=float(neg.mean()),
-        max_mpd_pos=float(pos.max()),
-        max_mpd_neg=float(neg.max()),
-        std_mpd_pos=float(pos.std()),
-        std_mpd_neg=float(neg.std()),
-    )
+    return {sign: (float(m.mean()), float(m.std()), float(m.max())) for sign, m in mpds.items()}
 
 
-def choose_polarity(stats: PitchStats) -> str:
-    """Polarity with the smaller coefficient of variation of its MPDs.
+def choose_polarity(stats: dict[int, tuple[float, float, float]]) -> int:
+    """Sign of the halves with the smaller coefficient of variation of their MPDs.
 
-    Ties and degenerate (zero-mean) cases fall back to positive.
+    Ties and degenerate (zero-mean) cases fall back to +1.
     """
-    if stats.ampv_pos == 0.0 or stats.ampv_neg == 0.0:
-        return POSITIVE
-    cv_pos = stats.std_mpd_pos / stats.ampv_pos
-    cv_neg = stats.std_mpd_neg / stats.ampv_neg
-    return POSITIVE if cv_pos <= cv_neg else NEGATIVE
+    (ampv_pos, std_pos, _), (ampv_neg, std_neg, _) = stats[1], stats[-1]
+    if ampv_pos == 0.0 or ampv_neg == 0.0:
+        return 1
+    return 1 if std_pos / ampv_pos <= std_neg / ampv_neg else -1
 
 
 def _thresholds(values, mpds, ampv: float, max_mpd: float) -> np.ndarray:
@@ -181,21 +159,15 @@ def _thresholds(values, mpds, ampv: float, max_mpd: float) -> np.ndarray:
     return values * (1.0 - x / 100.0)
 
 
-def _polarity_stats(polarity: str, stats: PitchStats) -> tuple[float, float]:
-    if polarity == POSITIVE:
-        return stats.ampv_pos, stats.max_mpd_pos
-    return stats.ampv_neg, stats.max_mpd_neg
-
-
 def mark_pitch_periods(
     buffer: SampleBuffer,
     peaks: HalfPeaks,
-    stats: PitchStats,
-    polarity: str,
+    stats: dict[int, tuple[float, float, float]],
+    polarity: int,
     min_period: int,
     max_period: int,
 ) -> PitchMarks:
-    """Scan the chosen-polarity halves and place pitch marks at their peaks.
+    """Scan the halves of sign `polarity` (+1 or -1) and place pitch marks at their peaks.
 
     The first chosen half seeds the scan. A later half is marked when its
     peak magnitude is at or above the threshold derived from the previously
@@ -204,7 +176,9 @@ def mark_pitch_periods(
     """
     if not 0 < min_period < max_period:
         raise ValueError(f"need 0 < min_period < max_period, got {min_period}/{max_period}")
-    chosen = peaks.signs == (1 if polarity == POSITIVE else -1)
+    if polarity not in (1, -1):
+        raise ValueError(f"polarity must be +1 or -1, got {polarity!r}")
+    chosen = peaks.signs == polarity
     if np.count_nonzero(chosen) < 2:
         raise ValueError("pitch not detected: fewer than two candidate halves")
     values = peaks.values[chosen]
@@ -212,9 +186,8 @@ def mark_pitch_periods(
     if indices[-1] >= buffer.samples.size:
         raise ValueError("peak index beyond buffer")
     magnitudes = np.abs(values).tolist()
-    thresholds = np.abs(
-        _thresholds(values, peaks.mpds[chosen], *_polarity_stats(polarity, stats))
-    ).tolist()
+    ampv, _, max_mpd = stats[polarity]
+    thresholds = np.abs(_thresholds(values, peaks.mpds[chosen], ampv, max_mpd)).tolist()
     marks = [indices[0]]
     threshold = thresholds[0]
     for index, magnitude, next_threshold in zip(indices[1:], magnitudes[1:], thresholds[1:]):

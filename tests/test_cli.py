@@ -176,8 +176,10 @@ class TestSignalCommands:
     def test_pitch_marks_output(self, vowel_file, capsys):
         assert cli.main(["pitch-marks", str(vowel_file)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] in ("polarity positive", "polarity negative")
+        marks = detect_marks(preprocess_signal(load_signal(vowel_file)))
+        assert lines[0] == {1: "polarity positive", -1: "polarity negative"}[marks.polarity_used]
         indices = [int(line) for line in lines[1:]]
+        assert indices == marks.mark_indices.tolist()
         assert len(indices) > 10
         assert all(b > a for a, b in zip(indices, indices[1:]))
 
@@ -373,6 +375,15 @@ class TestNonFiniteSettings:
         assert "normalization_target must be within [1e-100, 1e100]" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_min_f0_at_nyquist_is_data_error(self, tmp_path, capsys):
+        # at min_f0 >= rate/2 the period bounds collapse to 2/2; refused before
+        # the (missing) input file is read
+        missing = tmp_path / "missing.txt"
+        assert cli.main(["features", str(missing), "--min-f0", "8000", "--max-f0", "9000"]) == 2
+        err = capsys.readouterr().err
+        assert "need min_f0_hz < sample_rate_hz / 2, got 8000/16000" in err
+        assert "missing.txt" not in err
+
 
 class TestSynthCommand:
     def test_corpus_generation(self, tmp_path, capsys):
@@ -410,6 +421,8 @@ class TestSynthCommand:
         (["vowel", "--formants", "500:inf"], "formant bandwidth must be finite and positive, got inf"),
         (["corpus", "--duration", "inf"], "duration_s must be finite and positive, got inf"),
         (["corpus", "--silence-pad", "nan"], "silence_pad_s must be finite and non-negative, got nan"),
+        (["corpus", "--sample-rate", "5000", "--speakers", "2", "--train", "1", "--test", "0"],
+         "formant centre 2639.5566944647185 Hz beyond Nyquist"),
     ])
     def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -418,7 +431,7 @@ class TestSynthCommand:
         assert cli.main(["synth", what, *target, *sizes]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
-        assert not (tmp_path / "c").exists()  # sizes are checked before the corpus directory is made
+        assert not (tmp_path / "c").exists()  # every utterance is checked before the corpus directory is made
 
     def test_synth_without_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,12 +8,10 @@ from psverify.pitch import (
     HalfPeak,
     HalfPeaks,
     PitchMarks,
-    PitchStats,
     choose_polarity,
     compute_stats,
     extract_half_peaks,
     mark_pitch_periods,
-    _polarity_stats,
     _thresholds,
     periods_from_marks,
 )
@@ -29,11 +27,8 @@ def sine(f0=100.0, rate=16000, seconds=0.5):
     return buf(np.sin(2 * np.pi * f0 * np.arange(n) / rate), rate)
 
 
-STATS = PitchStats(
-    ampv_pos=100.0, ampv_neg=100.0,
-    max_mpd_pos=200.0, max_mpd_neg=200.0,
-    std_mpd_pos=1.0, std_mpd_neg=1.0,
-)
+# sign -> (ampv, std, max) of the MPDs
+STATS = {1: (100.0, 1.0, 200.0), -1: (100.0, 1.0, 200.0)}
 
 
 class TestExtractHalfPeaks:
@@ -64,7 +59,7 @@ class TestExtractHalfPeaks:
     def test_iterates_as_records(self):
         peaks = extract_half_peaks(buf([100, -10, 120, -10, 90]))
         assert len(peaks) == 5
-        assert list(peaks)[:2] == [HalfPeak("positive", 0, 100.0, 20.0), HalfPeak("negative", 1, -10.0, 0.0)]
+        assert list(peaks)[:2] == [HalfPeak(1, 0, 100.0, 20.0), HalfPeak(-1, 1, -10.0, 0.0)]
 
 
 class TestHalfPeaks:
@@ -95,17 +90,18 @@ class TestComputeStats:
 
     def test_mean(self):
         stats = compute_stats(self.peaks_with_mpds([10, 20, 30], [1]))
-        assert stats.ampv_pos == 20.0
-        assert stats.max_mpd_pos == 30.0
+        ampv, _, max_mpd = stats[1]
+        assert ampv == 20.0
+        assert max_mpd == 30.0
 
     def test_single_peak_each(self):
         stats = compute_stats(self.peaks_with_mpds([0], [0]))
-        assert stats.ampv_pos == 0.0
-        assert stats.ampv_neg == 0.0
+        assert stats[1][0] == 0.0
+        assert stats[-1][0] == 0.0
 
     def test_one_mpd(self):
         stats = compute_stats(self.peaks_with_mpds([5], [2]))
-        assert stats.ampv_pos == 5.0 == stats.max_mpd_pos
+        assert stats[1][0] == 5.0 == stats[1][2]
 
     def test_missing_polarity_rejected(self):
         pos_only = HalfPeaks([1], [0], [1.0], [0.0])
@@ -115,30 +111,31 @@ class TestComputeStats:
 
 class TestChoosePolarity:
     def test_consistent_positive_wins(self):
-        stats = PitchStats(10, 10, 10, 40, 0.0, 9.0)
-        assert choose_polarity(stats) == "positive"
+        stats = {1: (10, 0.0, 10), -1: (10, 9.0, 40)}
+        assert choose_polarity(stats) == 1
 
     def test_tie_goes_positive(self):
-        stats = PitchStats(10, 10, 20, 20, 2.0, 2.0)
-        assert choose_polarity(stats) == "positive"
+        stats = {1: (10, 2.0, 20), -1: (10, 2.0, 20)}
+        assert choose_polarity(stats) == 1
 
     def test_smaller_negative_cv_wins(self):
-        stats = PitchStats(10, 10, 20, 20, 5.0, 1.0)  # CVs 0.5 vs 0.1
-        assert choose_polarity(stats) == "negative"
+        stats = {1: (10, 5.0, 20), -1: (10, 1.0, 20)}  # CVs 0.5 vs 0.1
+        assert choose_polarity(stats) == -1
 
     def test_zero_mean_goes_positive(self):
-        stats = PitchStats(10, 0, 20, 0, 5.0, 0.0)
-        assert choose_polarity(stats) == "positive"
+        stats = {1: (10, 5.0, 20), -1: (0, 0.0, 0)}
+        assert choose_polarity(stats) == 1
 
     def test_mirror_symmetric_signal(self):
         x = np.sin(2 * np.pi * np.arange(800) / 160)
-        assert choose_polarity(compute_stats(extract_half_peaks(buf(x)))) == "positive"
+        assert choose_polarity(compute_stats(extract_half_peaks(buf(x)))) == 1
 
 
 class TestThresholdForPeak:
-    def threshold(self, mpd, value=10000.0, polarity="positive"):
+    def threshold(self, mpd, value=10000.0, polarity=1):
         """The threshold `_thresholds` derives for one half."""
-        (threshold,) = _thresholds(np.array([value]), np.array([mpd]), *_polarity_stats(polarity, STATS))
+        ampv, _, max_mpd = STATS[polarity]
+        (threshold,) = _thresholds(np.array([value]), np.array([mpd]), ampv, max_mpd)
         return float(threshold)
 
     def test_x5_gives_9500(self):
@@ -158,7 +155,7 @@ class TestThresholdForPeak:
         assert self.threshold(200.0) == pytest.approx(8000.0)
 
     def test_negative_polarity_signed(self):
-        assert self.threshold(45.0, value=-10000.0, polarity="negative") == pytest.approx(-9500.0)
+        assert self.threshold(45.0, value=-10000.0, polarity=-1) == pytest.approx(-9500.0)
 
     def test_threshold_magnitude_monotone_in_mpd(self):
         magnitudes = [abs(self.threshold(m)) for m in np.linspace(0, 200, 41)]
@@ -221,27 +218,34 @@ class TestMarkPitchPeriods:
         peaks = extract_half_peaks(sine())
         stats = compute_stats(peaks)
         with pytest.raises(ValueError, match="min_period"):
-            mark_pitch_periods(sine(), peaks, stats, "positive", 100, 50)
+            mark_pitch_periods(sine(), peaks, stats, 1, 100, 50)
+
+    def test_polarity_must_be_a_sign(self):
+        peaks = extract_half_peaks(sine())
+        stats = compute_stats(peaks)
+        for polarity in (0, "positive"):
+            with pytest.raises(ValueError, match="polarity must be"):
+                mark_pitch_periods(sine(), peaks, stats, polarity, 32, 320)
 
 
 class TestPeriodsFromMarks:
     def test_equal_periods(self):
-        marks = PitchMarks(np.array([0, 160, 320]), "positive")
+        marks = PitchMarks(np.array([0, 160, 320]), 1)
         assert periods_from_marks(marks).tolist() == [[0, 160], [160, 160]]
 
     def test_unequal_periods(self):
-        marks = PitchMarks(np.array([0, 150, 320]), "positive")
+        marks = PitchMarks(np.array([0, 150, 320]), 1)
         assert periods_from_marks(marks)[:, 1].tolist() == [150, 170]
 
     def test_rows_are_int64_start_length_pairs(self):
-        periods = periods_from_marks(PitchMarks(np.array([3, 40, 90, 161]), "negative"))
+        periods = periods_from_marks(PitchMarks(np.array([3, 40, 90, 161]), -1))
         assert periods.dtype == np.int64 and periods.shape == (3, 2)
         assert periods.tolist() == [[3, 37], [40, 50], [90, 71]]
 
     def test_single_mark_rejected(self):
         with pytest.raises(ValueError, match="two pitch marks"):
-            PitchMarks(np.array([0]), "positive")
+            PitchMarks(np.array([0]), 1)
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            PitchMarks(np.array([0, 100, 100]), "positive")
+            PitchMarks(np.array([0, 100, 100]), 1)
