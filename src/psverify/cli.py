@@ -12,8 +12,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import evaluation, modeling, pipeline, signal_io
 from .decision import (
     IMPOSTOR,
@@ -30,9 +28,9 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
-_WEIGHT_COUNTS = {"cepstral_weights": 12, "temporal_weights": 4}
+_WEIGHT_FIELDS = [f.name for f in dataclasses.fields(DistanceWeights)]
 # every key a config file may hold, with the type its value is read as
-_CONFIG_KEYS = _CONFIG_FIELDS | dict.fromkeys(_WEIGHT_COUNTS, str)
+_CONFIG_KEYS = _CONFIG_FIELDS | dict.fromkeys(_WEIGHT_FIELDS, str)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,24 +57,6 @@ def _parse_config_file(path) -> dict:
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return values
-
-
-def _build_config(values) -> pipeline.PipelineConfig:
-    return pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
-
-
-def _parse_weight_list(text, count, label) -> np.ndarray:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != count:
-        raise ValueError(f"{label} needs {count} values, got {len(parts)}")
-    return np.array([float(p) for p in parts])
-
-
-def _build_weights(values) -> DistanceWeights:
-    return DistanceWeights(**{
-        key: _parse_weight_list(values[key], count, key.replace("_", " "))
-        for key, count in _WEIGHT_COUNTS.items() if key in values
-    })
 
 
 def _parse_formants(text):
@@ -111,8 +91,6 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
                    help=f"silence frame shift (default {d.frame_shift})")
     g.add_argument("--silence-multiplier", dest="silence_multiplier", type=float,
                    help=f"speech-energy factor over silence (default {d.silence_multiplier:g})")
-    g.add_argument("--normalization-target", dest="normalization_target", type=float,
-                   help=f"peak normalization value (default {d.normalization_target:g})")
     g.add_argument("--silence-frames", dest="silence_frames", type=int,
                    help=f"lowest-energy frames averaged as silence (default {d.silence_frames})")
     g = group("pitch options")
@@ -316,7 +294,11 @@ def parse_and_dispatch(argv) -> int:
         # every setting is read and checked here, before a handler opens a file
         values = _parse_config_file(args.config) if args.config else {}
         values |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
-        cfg, weights = _build_config(values), _build_weights(values)
+        cfg = pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
+        # a weight list is numbers split by commas or whitespace; DistanceWeights checks the count
+        weights = DistanceWeights(**{
+            k: [float(p) for p in values[k].replace(",", " ").split()] for k in _WEIGHT_FIELDS if k in values
+        })
         return args.handler(args, cfg, weights)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,14 +29,13 @@ class DistanceWeights:
     temporal_weights: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_TEMPORAL_WEIGHTS))
 
     def __post_init__(self):
-        cep = np.asarray(self.cepstral_weights, dtype=np.float64)
-        tem = np.asarray(self.temporal_weights, dtype=np.float64)
-        object.__setattr__(self, "cepstral_weights", cep)
-        object.__setattr__(self, "temporal_weights", tem)
-        if cep.shape != (12,) or tem.shape != (4,):
-            raise ValueError("need 12 cepstral and 4 temporal weights")
-        if not (np.all((0 < cep) & (cep < np.inf)) and np.all((0 < tem) & (tem < np.inf))):
-            raise ValueError("all distance weights must be finite and positive")
+        for name, count in (("cepstral_weights", 12), ("temporal_weights", 4)):
+            w = np.asarray(getattr(self, name), dtype=np.float64)
+            if w.shape != (count,):
+                raise ValueError(f"{name} needs {count} values, got {w.size if w.ndim == 1 else w.shape}")
+            if not np.all((0 < w) & (w < np.inf)):
+                raise ValueError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, w)
 
 
 class Distances(Mapping):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
-from .modeling import ModelSet, build_model
+from .modeling import ModelSet, build_model, speaker_id_error
 from .pipeline import PipelineConfig, features_of_files
 from .signal_io import SampleBuffer, write_text_samples
 
@@ -44,6 +44,8 @@ class ManifestEntry:
     split: str
 
     def __post_init__(self):
+        if error := speaker_id_error(self.speaker_id):
+            raise ValueError(error)
         if self.vowel not in VOWELS:
             raise ValueError(f"unknown vowel {self.vowel!r}")
         if self.split not in ("train", "test"):

@@ -31,10 +31,17 @@ _LINE_DTYPE = np.dtype([
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
-def _model_error(speaker_id: str, vowel: str, values: np.ndarray, n_utterances: int) -> str | None:
-    """The first rule a model breaks, or None."""
+def speaker_id_error(speaker_id: str) -> str | None:
+    """Why a speaker id cannot be one field of a model line, or None."""
     if not speaker_id or any(ch.isspace() for ch in speaker_id):
         return f"speaker id must be non-empty and contain no whitespace: {speaker_id!r}"
+    return None
+
+
+def _model_error(speaker_id: str, vowel: str, values: np.ndarray, n_utterances: int) -> str | None:
+    """The first rule a model breaks, or None."""
+    if error := speaker_id_error(speaker_id):
+        return error
     if vowel not in VOWELS:
         return f"unknown vowel {vowel!r}"
     if values.shape != (MODEL_DIM,):

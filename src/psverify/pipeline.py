@@ -1,6 +1,7 @@
 """End-to-end pipeline: load, preprocess, mark, extract."""
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -33,31 +34,27 @@ class PipelineConfig:
     frame_len: int = 100
     frame_shift: int = 50
     silence_multiplier: float = 1.10
-    normalization_target: float = 10000.0
     silence_frames: int = 10
     min_f0_hz: float = 50.0
     max_f0_hz: float = 500.0
 
     def __post_init__(self):
         for field in fields(self):
-            if not 0 < getattr(self, field.name) < math.inf:
+            value = getattr(self, field.name)
+            if not 0 < value < math.inf:
                 raise ValueError(f"{field.name} must be finite and positive")
+            if field.type is int and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if self.frame_shift > self.frame_len:
             raise ValueError(f"need frame_shift <= frame_len, got {self.frame_shift}/{self.frame_len}")
-        if not 1e-100 <= self.normalization_target <= 1e100:
-            # the frame energies square the samples: far past this range they overflow or underflow
-            raise ValueError(
-                f"normalization_target must be within [1e-100, 1e100], got {self.normalization_target:g}"
-            )
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
-        if self.min_f0_hz >= self.sample_rate_hz / 2:
-            # period_bounds would give max_period <= 2 = min_period
-            raise ValueError(
-                f"need min_f0_hz < sample_rate_hz / 2, got {self.min_f0_hz:g}/{self.sample_rate_hz}"
-            )
+        self.period_bounds(self.sample_rate_hz)
 
     def period_bounds(self, sample_rate_hz: int) -> tuple[int, int]:
+        """(min_period, max_period) in samples at this rate, which must exceed 2 * min_f0_hz."""
+        if self.min_f0_hz >= sample_rate_hz / 2:
+            raise ValueError(f"need min_f0_hz < sample_rate_hz / 2, got {self.min_f0_hz:g}/{sample_rate_hz}")
         min_period = max(2, math.floor(sample_rate_hz / self.max_f0_hz))
         max_period = math.ceil(sample_rate_hz / self.min_f0_hz)
         return min_period, max_period
@@ -72,8 +69,8 @@ def load_signal(path, config: PipelineConfig = PipelineConfig()) -> SampleBuffer
 
 
 def preprocess_signal(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:
-    """DC removal, peak normalization, silence trimming, in that order."""
-    x = preprocess.normalize_peak(preprocess.remove_dc(buffer.samples), config.normalization_target)
+    """DC removal, normalization to the fixed peak, silence trimming, in that order."""
+    x = preprocess.normalize_peak(preprocess.remove_dc(buffer.samples))
     start, stop = preprocess.speech_span(
         x, config.frame_len, config.frame_shift, config.silence_frames, config.silence_multiplier
     )

@@ -1,11 +1,13 @@
 """DC correction, peak normalization and short-time-energy silence trimming.
 
-Pipeline order is DC removal, then normalization to the target peak, then
-silence removal on frames with the 110% rule; the settings and their
-defaults live in `pipeline.PipelineConfig`.
+Pipeline order is DC removal, then normalization to the fixed `PEAK`, then
+silence removal on frames with the 110% rule; the trimming settings and
+their defaults live in `pipeline.PipelineConfig`.
 """
 
 import numpy as np
+
+PEAK = 10000.0  # the reference setup's; every later stage is scale-free
 
 
 def remove_dc(x: np.ndarray) -> np.ndarray:
@@ -17,16 +19,14 @@ def remove_dc(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def normalize_peak(x: np.ndarray, target: float) -> np.ndarray:
-    """Scale so the largest absolute sample equals `target` (> 0)."""
+def normalize_peak(x: np.ndarray) -> np.ndarray:
+    """Scale so the largest absolute sample equals PEAK. Even a peak of
+    1.8e308 gives a normal scale, so only a silent signal is refused."""
     peak = float(np.max(np.abs(x)))
-    scale = target / peak if peak else np.inf
+    scale = PEAK / peak if peak else np.inf
     if not np.isfinite(scale):
         # all zeros, or a subnormal residue whose reciprocal overflows
         raise ValueError(f"silent signal: cannot normalize samples peaking at {peak:g}")
-    if scale < np.finfo(np.float64).tiny:
-        # a zero scale would silence the signal, a subnormal one would lose precision
-        raise ValueError(f"scaling the peak {peak:g} to {target:g} underflows float64")
     return x * scale
 
 

@@ -61,8 +61,7 @@ class TestParsing:
 
 
 SIGNAL = {"--config", "--sample-rate"}
-TRIMMING = {"--frame-len", "--frame-shift", "--silence-multiplier", "--normalization-target",
-            "--silence-frames"}
+TRIMMING = {"--frame-len", "--frame-shift", "--silence-multiplier", "--silence-frames"}
 PITCH = {"--min-f0", "--max-f0"}
 WEIGHTS = {"--cepstral-weights", "--temporal-weights"}
 SETTINGS = SIGNAL | TRIMMING | PITCH | WEIGHTS
@@ -97,7 +96,7 @@ class TestSettingsSurface:
 
     def test_every_parser_is_listed(self):
         assert [name for name, _ in _sub_parsers(cli.build_parser())] == list(SETTINGS_BY_PARSER)
-        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 71
+        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 64
 
     def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys):
         config = tmp_path / "psv.cfg"
@@ -162,16 +161,33 @@ class TestSignalCommands:
         assert np.abs(buf.samples).max() == pytest.approx(10000.0, rel=1e-6)
 
     def test_preprocess_config_file_and_flag_precedence(self, vowel_file, tmp_path):
+        # the frame length moves the end of the trimmed span
+        def trimmed_len(frame_len):
+            cfg = PipelineConfig(frame_len=frame_len)
+            return len(preprocess_signal(load_signal(vowel_file, cfg), cfg))
+
+        assert len({trimmed_len(100), trimmed_len(80), trimmed_len(400)}) == 3
         config = tmp_path / "psv.cfg"
-        config.write_text("normalization_target=5000\n")
+        config.write_text("frame_len=400\n")
         out = tmp_path / "pre.txt"
         assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 0
-        assert np.abs(load_text_samples(out).samples).max() == pytest.approx(5000.0, rel=1e-6)
+        assert len(load_text_samples(out)) == trimmed_len(400)
         assert cli.main([
-            "preprocess", str(vowel_file), str(out),
-            "--config", str(config), "--normalization-target", "2000",
+            "preprocess", str(vowel_file), str(out), "--config", str(config), "--frame-len", "80",
         ]) == 0
-        assert np.abs(load_text_samples(out).samples).max() == pytest.approx(2000.0, rel=1e-6)
+        assert len(load_text_samples(out)) == trimmed_len(80)
+
+    def test_normalization_target_is_gone(self, vowel_file, tmp_path, capsys):
+        # the peak is the fixed 10,000: the flag is a usage error, the key a data error
+        out = tmp_path / "pre.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["preprocess", str(vowel_file), str(out), "--normalization-target", "5000"])
+        assert exc.value.code == 1
+        config = tmp_path / "psv.cfg"
+        config.write_text("normalization_target=10000\n")
+        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 2
+        assert f"{config}: line 1: unknown key 'normalization_target'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_pitch_marks_output(self, vowel_file, capsys):
         assert cli.main(["pitch-marks", str(vowel_file)]) == 0
@@ -300,7 +316,7 @@ class TestRecognitionCommands:
 
         config.write_text("cepstral_weights=" + ",".join(["1"] * 11) + "\n")
         assert cli.main(argv + ["--config", str(config)]) == 2
-        assert "cepstral weights needs 12 values, got 11" in capsys.readouterr().err
+        assert "cepstral_weights needs 12 values, got 11" in capsys.readouterr().err
 
     def test_nan_weights_are_data_error(self, enrolled, capsys):
         models_path, entries = enrolled
@@ -366,15 +382,6 @@ class TestNonFiniteSettings:
         assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
         assert "min_f0_hz must be finite and positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["1e-200", "1e200"])
-    def test_normalization_target_out_of_range_is_data_error(self, target, vowel_file, tmp_path, capsys):
-        # beyond [1e-100, 1e100] the frame energies underflow or overflow and
-        # a clean vowel would read as "no speech detected"
-        out = tmp_path / "pre.txt"
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--normalization-target", target]) == 2
-        assert "normalization_target must be within [1e-100, 1e100]" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_min_f0_at_nyquist_is_data_error(self, tmp_path, capsys):
         # at min_f0 >= rate/2 the period bounds collapse to 2/2; refused before
         # the (missing) input file is read
@@ -383,6 +390,21 @@ class TestNonFiniteSettings:
         err = capsys.readouterr().err
         assert "need min_f0_hz < sample_rate_hz / 2, got 8000/16000" in err
         assert "missing.txt" not in err
+
+    @pytest.mark.parametrize("rate, settings, got", [
+        (8000, ["--min-f0", "4500", "--max-f0", "5000"], "4500/8000"),
+        (1, [], "50/1"),
+    ])
+    def test_min_f0_checked_against_the_wav_rate(self, rate, settings, got, vowel_file, tmp_path, capsys):
+        # the settings pass at the configured 16 kHz; the file's own rate refuses them
+        path = tmp_path / "v.wav"
+        with wave.open(str(path), "wb") as w:
+            w.setnchannels(1)
+            w.setsampwidth(2)
+            w.setframerate(rate)
+            w.writeframes(load_text_samples(vowel_file).samples.astype("<i2").tobytes())
+        assert cli.main(["features", str(path), *settings]) == 2
+        assert f"need min_f0_hz < sample_rate_hz / 2, got {got}" in capsys.readouterr().err
 
 
 class TestSynthCommand:

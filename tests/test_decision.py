@@ -111,8 +111,12 @@ class TestWeights:
             DistanceWeights(temporal_weights=np.array([1.0, 0.0, 1.0, 1.0]))
 
     def test_length_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cepstral_weights needs 12 values, got 10"):
             DistanceWeights(cepstral_weights=np.ones(10))
+        with pytest.raises(ValueError, match="temporal_weights needs 4 values, got 5"):
+            DistanceWeights(temporal_weights=[1.0] * 5)
+        with pytest.raises(ValueError, match=r"temporal_weights needs 4 values, got \(2, 2\)"):
+            DistanceWeights(temporal_weights=np.ones((2, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finiteness_enforced(self, bad):

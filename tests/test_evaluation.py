@@ -115,6 +115,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="line 2"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("speaker_id", ["s 01", ""])
+    def test_bad_speaker_id_reports_line(self, speaker_id, tmp_path):
+        # the rule of model files: no model could be saved or matched under this id
+        p = tmp_path / "manifest.csv"
+        p.write_text(f"path,speaker_id,vowel,split\nx.txt,s01,a,train\ny.txt,{speaker_id},a,test\n")
+        with pytest.raises(ValueError, match="manifest.csv: line 3: speaker id must be non-empty"):
+            load_manifest(p)
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text("path,speaker_id\nx.txt,s01\n")

@@ -3,13 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
-from psverify.pipeline import PipelineConfig, preprocess_signal, utterance_features_from_file
-from psverify.preprocess import normalize_peak, remove_dc, speech_span
-from psverify.signal_io import SampleBuffer, write_text_samples
+from psverify.pipeline import PipelineConfig, preprocess_signal
+from psverify.preprocess import PEAK, normalize_peak, remove_dc, speech_span
+from psverify.signal_io import SampleBuffer
 
 DEFAULTS = PipelineConfig()
-TARGET = DEFAULTS.normalization_target
 
 
 def span(x, **settings):
@@ -51,21 +49,21 @@ class TestRemoveDc:
 
 class TestNormalizePeak:
     def test_scaling(self):
-        out = normalize_peak(np.array([0.0, 5000.0, -2500.0]), TARGET)
+        out = normalize_peak(np.array([0.0, 5000.0, -2500.0]))
         np.testing.assert_allclose(out, [0, 10000, -5000], rtol=1e-9)
 
     def test_peak_already_at_target(self):
         x = np.array([0.0, 10000.0, -3000.0])
-        np.testing.assert_array_equal(normalize_peak(x, TARGET), x)
+        np.testing.assert_array_equal(normalize_peak(x), x)
 
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError, match="silent"):
-            normalize_peak(np.zeros(3), TARGET)
+            normalize_peak(np.zeros(3))
 
     def test_subnormal_peak_rejected_as_silent(self):
-        # target / peak overflows to inf for a subnormal peak
+        # PEAK / peak overflows to inf for a subnormal peak
         with pytest.raises(ValueError, match="silent signal"):
-            normalize_peak(np.array([0.0, 3e-316, -1e-320]), TARGET)
+            normalize_peak(np.array([0.0, 3e-316, -1e-320]))
 
     def test_subnormal_dc_residue_is_silent(self):
         # removing the DC of a constant 1e-300 leaves residues near 3e-316
@@ -74,18 +72,16 @@ class TestNormalizePeak:
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        once = normalize_peak(rng.normal(0, 1, 500), TARGET)
+        once = normalize_peak(rng.normal(0, 1, 500))
         assert np.abs(once).max() == pytest.approx(10000.0, rel=1e-9)
-        np.testing.assert_allclose(normalize_peak(once, TARGET), once, rtol=1e-9)
+        np.testing.assert_allclose(normalize_peak(once), once, rtol=1e-9)
 
-    def test_custom_target(self):
-        np.testing.assert_allclose(normalize_peak(np.array([2.0, -4.0]), 1.0), [0.5, -1.0])
-
-    def test_underflowing_scale_rejected(self):
-        # 1e-100 / 1e250 underflows to 0.0, which would zero every sample
-        x = 1e250 * np.sin(np.arange(1, 1001) * 0.1)
-        with pytest.raises(ValueError, match="scaling the peak .* to 1e-100 underflows float64"):
-            normalize_peak(x, 1e-100)
+    def test_largest_finite_peak_scales_normally(self):
+        # PEAK / 1.8e308 = 5.6e-305 is still a normal float64, so no finite
+        # input needs an underflow refusal
+        out = normalize_peak(np.array([np.finfo(np.float64).max, -1.0]))
+        assert np.abs(out).max() == pytest.approx(PEAK, rel=1e-12)
+        assert out[1] < 0
 
 
 class TestEnergyProfile:
@@ -152,7 +148,7 @@ class TestTrimSilence:
         x[:100] = 0.0
         assert span(x) == (100, 1000)
         out = preprocess_signal(SampleBuffer(x, 16000))
-        np.testing.assert_array_equal(out.samples, normalize_peak(remove_dc(x), TARGET)[100:])
+        np.testing.assert_array_equal(out.samples, normalize_peak(remove_dc(x))[100:])
         assert out.sample_rate_hz == 16000
 
     def test_interior_span_kept(self):
@@ -188,18 +184,15 @@ class TestFramePlan:
         with pytest.raises(ValueError, match="frame_shift must be finite and positive"):
             PipelineConfig(frame_shift=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sample_rate_hz", 16000.5), ("frame_len", 100.5), ("frame_shift", 50.5),
+        ("silence_frames", 2.5), ("frame_len", 100.0),  # a float index fails even when whole
+    ])
+    def test_integer_settings_refuse_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            PipelineConfig(**{field: value})
 
-class TestNormalizationTarget:
-    @pytest.mark.parametrize("target", [1e-101, 1e101])
-    def test_out_of_range(self, target):
-        with pytest.raises(ValueError, match=r"normalization_target must be within \[1e-100, 1e100\]"):
-            PipelineConfig(normalization_target=target)
-
-    def test_range_ends_give_the_same_features(self, tmp_path):
-        path = tmp_path / "v.txt"
-        write_text_samples(synth_vowel(120.0, VOWEL_FORMANTS["a"], 0.4, 16000, seed=3, silence_pad_s=0.05), path)
-        default = utterance_features_from_file(path, "a").vector
-        for target in (1e-100, 1e100):
-            vector = utterance_features_from_file(path, "a", PipelineConfig(normalization_target=target)).vector
-            np.testing.assert_allclose(vector, default, rtol=1e-9)
+    def test_integer_settings_take_numpy_integers(self):
+        config = PipelineConfig(frame_len=np.int64(80), silence_frames=np.int32(4))
+        assert (config.frame_len, config.silence_frames) == (80, 4)
 
