@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_config_file(path) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -217,11 +217,8 @@ def _score_input(args, cfg, weights):
 
 def _print_distance_table(report) -> None:
     print(f"{'speaker':<12} {'cepstral':>14} {'temporal':>14}")
-    for sid in report.cepstral_distances:
-        print(
-            f"{sid:<12} {report.cepstral_distances[sid]:>14.6g} "
-            f"{report.temporal_distances[sid]:>14.6g}"
-        )
+    for sid, cep, tem in zip(report.ids, report.cepstral_distances.tolist(), report.temporal_distances.tolist()):
+        print(f"{sid:<12} {cep:>14.6g} {tem:>14.6g}")
     print(f"nearest by cepstra:  {report.argmin_cepstral}")
     print(f"nearest by features: {report.argmin_temporal}")
 

@@ -38,52 +38,37 @@ class DistanceWeights:
             object.__setattr__(self, name, w)
 
 
-class Distances(Mapping):
-    """Read-only speaker id -> distance map over sorted ids and a parallel
-    float64 array. Iterates in id order; values come out as Python floats.
-    The id -> value dict behind lookups is built on the first one."""
-
-    __slots__ = ("_ids", "_values", "_lookup")
-
-    def __init__(self, ids: tuple[str, ...], values: np.ndarray):
-        self._ids = ids
-        self._values = values
-        self._lookup = None
-
-    def __getitem__(self, sid) -> float:
-        if self._lookup is None:
-            self._lookup = dict(zip(self._ids, self._values.tolist()))
-        return self._lookup[sid]
-
-    def __iter__(self):
-        return iter(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __repr__(self) -> str:
-        return f"Distances({dict(self)!r})"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceReport:
-    """Per-speaker distances for one test utterance, one family at a time.
+    """Distances from one test utterance to every same-vowel speaker model:
+    one read-only float64 array per family, parallel to the sorted `ids`.
 
-    Any mapping given for a family is stored as a `Distances`.
+    Two mappings over the same speaker ids may stand in for the arrays; they
+    are stored as the sorted ids and one array each. Given arrays are copied.
+    Reports do not compare by value.
     """
 
-    cepstral_distances: Mapping
-    temporal_distances: Mapping
+    cepstral_distances: np.ndarray
+    temporal_distances: np.ndarray
     argmin_cepstral: str
     argmin_temporal: str
+    ids: tuple = ()
 
     def __post_init__(self):
+        ids = self.ids
         for name in ("cepstral_distances", "temporal_distances"):
-            distances = getattr(self, name)
-            if not isinstance(distances, Distances):
-                ids = tuple(sorted(distances))
-                values = np.array([distances[sid] for sid in ids], dtype=np.float64)
-                object.__setattr__(self, name, Distances(ids, values))
+            values = getattr(self, name)
+            if isinstance(values, Mapping):
+                ids = ids or tuple(sorted(values))
+                if values.keys() != set(ids):
+                    raise ValueError(f"{name} names other speakers than the report's ids")
+                values = [values[sid] for sid in ids]
+            values = np.array(values, dtype=np.float64)
+            if values.shape != (len(ids),):
+                raise ValueError(f"{name} needs one value per id ({len(ids)}), got shape {values.shape}")
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "ids", tuple(ids))
 
 
 @dataclass(frozen=True)
@@ -98,17 +83,6 @@ class VerificationOutcome:
             raise ValueError("rejected outcome carries no speaker id")
 
 
-def weighted_distance(x, y, w) -> float:
-    """Tokhura's weighted squared-Euclidean distance: sum_i w_i (x_i - y_i)^2."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if x.shape != y.shape or x.shape != w.shape:
-        raise ValueError(f"length mismatch: {x.shape} vs {y.shape} vs {w.shape}")
-    d = x - y
-    return float(w @ (d * d))
-
-
 def score_against_models(
     features: UtteranceFeatures,
     model_set: ModelSet,
@@ -118,8 +92,8 @@ def score_against_models(
 
     The 12-dimensional cepstral distance and the 4-dimensional temporal
     distance are computed and minimized independently, each as one pass
-    over the vowel's model matrix; every value equals
-    `weighted_distance` against that model up to rounding.
+    over the vowel's model matrix: Tokhura's weighted squared Euclidean
+    distance, sum_i w_i (x_i - m_i)^2 over the family's dimensions.
     """
     if weights is None:
         weights = DistanceWeights()
@@ -133,12 +107,7 @@ def score_against_models(
     tem = np.einsum("ij,j->i", sq[:, :4], weights.temporal_weights)
     # ids are sorted and argmin takes the first minimum, so ties break
     # towards the lexicographically smallest speaker id
-    return DistanceReport(
-        Distances(ids, cep),
-        Distances(ids, tem),
-        ids[int(np.argmin(cep))],
-        ids[int(np.argmin(tem))],
-    )
+    return DistanceReport(cep, tem, ids[int(np.argmin(cep))], ids[int(np.argmin(tem))], ids)
 
 
 def agreed_speaker(cepstral_pick: str, temporal_pick: str) -> str | None:
@@ -159,7 +128,7 @@ def verify_claim(report: DistanceReport, claimed: str) -> str:
     A rejected (disagreeing) trial is a retry: the speaker is asked to
     speak once more.
     """
-    if claimed not in report.cepstral_distances:
+    if claimed not in report.ids:
         raise ValueError(f"unknown claimed speaker {claimed!r}")
     outcome = identify_combined(report)
     if not outcome.accepted:

@@ -269,13 +269,15 @@ def load_manifest(path) -> list[ManifestEntry]:
     """Read the CSV manifest; relative paths resolve against its directory."""
     path = Path(path)
     entries = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         required = {"path", "speaker_id", "vowel", "split"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ValueError(f"{path}: manifest needs columns {sorted(required)}")
         for lineno, row in enumerate(reader, 2):
             try:
+                if not row["path"]:
+                    raise ValueError("empty path")
                 entry = ManifestEntry(
                     str(path.parent / row["path"]),
                     row["speaker_id"],

@@ -82,14 +82,6 @@ class SpeakerModel:
         object.__setattr__(model, "n_utterances", n_utterances)
         return model
 
-    @property
-    def temporal(self) -> np.ndarray:
-        return self.mean_features[:4]
-
-    @property
-    def cepstral(self) -> np.ndarray:
-        return self.mean_features[4:]
-
 
 _NO_COLUMNS = ((), np.empty((0, MODEL_DIM)), np.empty(0, np.int64))
 

@@ -187,6 +187,33 @@ def brute_argmin(distances):
     return min(distances, key=lambda sid: (distances[sid], sid))
 
 
+def weighted_distance(x, y, w) -> float:
+    """Tokhura's weighted squared-Euclidean distance, one pair at a time:
+    sum_i w_i (x_i - y_i)^2."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    if x.shape != y.shape or x.shape != w.shape:
+        raise ValueError(f"length mismatch: {x.shape} vs {y.shape} vs {w.shape}")
+    d = x - y
+    return float(w @ (d * d))
+
+
+def distance_dict(report, family):
+    """A report's `family` ("cepstral" or "temporal") distances as an
+    id -> float dict."""
+    return dict(zip(report.ids, getattr(report, f"{family}_distances").tolist()))
+
+
+def report_key(report):
+    """What a distance report says: its ids, both picks and the bytes of
+    both distance arrays. Reports do not compare by value."""
+    return (
+        report.ids, report.argmin_cepstral, report.argmin_temporal,
+        report.cepstral_distances.tobytes(), report.temporal_distances.tobytes(),
+    )
+
+
 def autocorr_period(x, min_lag, max_lag):
     """Lag of the autocorrelation peak inside [min_lag, max_lag]."""
     x = np.asarray(x, dtype=np.float64)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import brute_argmin
+from helpers import brute_argmin, distance_dict, report_key, weighted_distance
 from psverify.decision import (
     DistanceReport,
     DistanceWeights,
@@ -12,7 +12,6 @@ from psverify.decision import (
     identify_combined,
     score_against_models,
     verify_claim,
-    weighted_distance,
 )
 from psverify.features import CepstralVector, TemporalFeatures, UtteranceFeatures
 from psverify.modeling import ModelSet, SpeakerModel
@@ -66,8 +65,8 @@ def loop_distances(feats, model_set, weights):
     """Per-model weighted_distance loop, the pairwise definition."""
     cep, tem = {}, {}
     for (sid, _), model in model_set.models.items():
-        cep[sid] = weighted_distance(feats.cepstral.c, model.cepstral, weights.cepstral_weights)
-        tem[sid] = weighted_distance(feats.temporal.vector, model.temporal, weights.temporal_weights)
+        cep[sid] = weighted_distance(feats.cepstral.c, model.mean_features[4:], weights.cepstral_weights)
+        tem[sid] = weighted_distance(feats.temporal.vector, model.mean_features[:4], weights.temporal_weights)
     return cep, tem
 
 
@@ -132,7 +131,7 @@ class TestScoreAgainstModels:
         vec = np.concatenate((rng.uniform(0, 3, 4), rng.normal(0, 1, 12)))
         model_set = set_of({"s1": vec, "s2": vec + 1.0})
         report = score_against_models(features_from(vec), model_set)
-        assert report.cepstral_distances["s1"] == 0.0
+        assert distance_dict(report, "cepstral")["s1"] == 0.0
         assert report.argmin_cepstral == "s1"
         assert report.argmin_temporal == "s1"
 
@@ -176,7 +175,7 @@ class TestScoreAgainstModels:
         model_set = set_of({f"s{i}": rng.normal(0, 1, 16) for i in range(4)})
         a = score_against_models(features_from(vec), model_set)
         b = score_against_models(features_from(vec), model_set)
-        assert a == b
+        assert report_key(a) == report_key(b)
 
 
 class TestScoringProperties:
@@ -189,7 +188,8 @@ class TestScoringProperties:
         feats, model_set, weights = case
         report = score_against_models(feats, model_set, weights)
         cep, tem = loop_distances(feats, model_set, weights)
-        for got, want in ((report.cepstral_distances, cep), (report.temporal_distances, tem)):
+        got_cep, got_tem = distance_dict(report, "cepstral"), distance_dict(report, "temporal")
+        for got, want in ((got_cep, cep), (got_tem, tem)):
             assert got.keys() == want.keys()
             for sid, value in want.items():
                 assert type(got[sid]) is float
@@ -199,10 +199,10 @@ class TestScoringProperties:
         for (sid, _), model in model_set.models.items():
             twins.setdefault(model.mean_features.tobytes(), []).append(sid)
         for sids in twins.values():
-            assert len({report.cepstral_distances[sid] for sid in sids}) == 1
-            assert len({report.temporal_distances[sid] for sid in sids}) == 1
-        assert report.argmin_cepstral == brute_argmin(report.cepstral_distances)
-        assert report.argmin_temporal == brute_argmin(report.temporal_distances)
+            assert len({got_cep[sid] for sid in sids}) == 1
+            assert len({got_tem[sid] for sid in sids}) == 1
+        assert report.argmin_cepstral == brute_argmin(got_cep)
+        assert report.argmin_temporal == brute_argmin(got_tem)
 
     # Quarter-integer values and weights keep every distance exact in any
     # summation order, so the picks must equal the loop's, ties included.
@@ -215,8 +215,8 @@ class TestScoringProperties:
         feats, model_set, weights = case
         report = score_against_models(feats, model_set, weights)
         cep, tem = loop_distances(feats, model_set, weights)
-        assert report.cepstral_distances == cep
-        assert report.temporal_distances == tem
+        assert distance_dict(report, "cepstral") == cep
+        assert distance_dict(report, "temporal") == tem
         assert report.argmin_cepstral == brute_argmin(cep)
         assert report.argmin_temporal == brute_argmin(tem)
 
@@ -227,7 +227,7 @@ class TestScoringProperties:
         model_set.add(SpeakerModel("s2", "a", np.full(16, 0.5), 1))
         report = score_against_models(feats, model_set)
         assert report.argmin_cepstral == report.argmin_temporal == "s2"
-        assert set(report.cepstral_distances) == {"s1", "s2", "s3"}
+        assert report.ids == ("s1", "s2", "s3")
 
     def test_models_are_read_only(self):
         vec = np.ones(16)
@@ -241,6 +241,61 @@ class TestScoringProperties:
             matrix[0, 0] = 5.0
         with pytest.raises(ValueError):
             model_set.models["s1", "a"].mean_features[0] = 5.0
+
+
+class TestDistanceReport:
+    def test_mappings_are_stored_as_sorted_ids_and_arrays(self):
+        report = report_from({"s9": 2.0, "s10": 1.0}, {"s10": 0.5, "s9": 0.25})
+        assert report.ids == ("s10", "s9")
+        assert report.cepstral_distances.tolist() == [1.0, 2.0]
+        assert report.temporal_distances.tolist() == [0.5, 0.25]
+        assert report.cepstral_distances.dtype == np.float64
+
+    def test_mappings_over_different_ids_refused(self):
+        with pytest.raises(ValueError, match="temporal_distances names other speakers"):
+            report_from({"s1": 1.0, "s2": 2.0}, {"s1": 1.0})
+        with pytest.raises(ValueError, match="temporal_distances names other speakers"):
+            report_from({"s1": 1.0}, {"s1": 1.0, "s2": 2.0})
+        with pytest.raises(ValueError, match="cepstral_distances names other speakers"):
+            DistanceReport({"s1": 1.0}, np.zeros(2), "s1", "s1", ("s1", "s2"))
+
+    @pytest.mark.parametrize("cep, tem, ids", [
+        (np.zeros(3), np.zeros(2), ("s1", "s2")),
+        (np.zeros(2), np.zeros(1), ("s1", "s2")),
+        (np.zeros((2, 1)), np.zeros(2), ("s1", "s2")),
+        (1.0, np.zeros(2), ("s1", "s2")),
+        (np.zeros(2), np.zeros(2), ()),
+    ])
+    def test_array_length_must_equal_len_ids(self, cep, tem, ids):
+        with pytest.raises(ValueError, match=rf"needs one value per id \({len(ids)}\)"):
+            DistanceReport(cep, tem, "s1", "s1", ids)
+
+    def test_arrays_are_read_only_copies(self):
+        cep, tem = np.array([1.0, 2.0]), np.array([0.5, 0.25])
+        report = DistanceReport(cep, tem, "s1", "s2", ("s1", "s2"))
+        cep[0] = tem[0] = -1.0
+        assert cep.flags.writeable and tem.flags.writeable
+        assert report.cepstral_distances.tolist() == [1.0, 2.0]
+        assert report.temporal_distances.tolist() == [0.5, 0.25]
+        for distances in (report.cepstral_distances, report.temporal_distances):
+            assert not distances.flags.writeable
+            with pytest.raises(ValueError):
+                distances[0] = 0.0
+
+    def test_later_dict_changes_do_not_reach_report(self):
+        cep, tem = {"s1": 1.0, "s2": 2.0}, {"s1": 0.5, "s2": 0.25}
+        report = report_from(cep, tem)
+        cep["s1"] = tem["s2"] = -1.0
+        cep["s3"] = 0.0
+        assert report.ids == ("s1", "s2")
+        assert report.cepstral_distances.tolist() == [1.0, 2.0]
+        assert report.temporal_distances.tolist() == [0.5, 0.25]
+
+    def test_no_value_equality(self):
+        a = report_from({"s1": 1.0}, {"s1": 2.0})
+        b = report_from({"s1": 1.0}, {"s1": 2.0})
+        assert a == a and a != b
+        assert report_key(a) == report_key(b)
 
 
 class TestIdentifyCombined:

@@ -123,6 +123,19 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest.csv: line 3: speaker id must be non-empty"):
             load_manifest(p)
 
+    def test_empty_path_reports_line(self, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_text("path,speaker_id,vowel,split\nx.txt,s01,a,train\n,s01,a,train\n")
+        with pytest.raises(ValueError, match="manifest.csv: line 3: empty path"):
+            load_manifest(p)
+
+    def test_utf8_bom_accepted(self, tmp_path):
+        # spreadsheet exports start a UTF-8 CSV with a byte-order mark
+        p = tmp_path / "manifest.csv"
+        p.write_text("path,speaker_id,vowel,split\nx.txt,s01,a,train\n", encoding="utf-8-sig")
+        assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_manifest(p) == [ManifestEntry(str(tmp_path / "x.txt"), "s01", "a", "train")]
+
     def test_missing_column(self, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text("path,speaker_id\nx.txt,s01\n")
