@@ -30,15 +30,27 @@ class SampleBuffer:
         return self.samples.size
 
 
+def _named_buffer(path, samples, sample_rate_hz) -> SampleBuffer:
+    """A SampleBuffer of a file's samples; a refusal names the file."""
+    try:
+        return SampleBuffer(samples, sample_rate_hz)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuffer:
     """Read a one-number-per-line text signal (the Cool Edit export format).
 
-    Blank lines are ignored; anything else that does not parse as a decimal
-    number is reported with its 1-based line number. The format carries no
-    header, so the sample rate is supplied by the caller.
+    The file is UTF-8, with or without a byte-order mark. Blank lines are
+    ignored; anything else that does not parse as a decimal number is
+    reported with its 1-based line number. The format carries no header, so
+    the sample rate is supplied by the caller.
     """
     path = Path(path)
-    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    try:
+        lines = path.read_text(encoding="utf-8-sig").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         arr = np.array(lines, dtype=np.float64)
     except ValueError:
@@ -53,9 +65,7 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
         arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError(f"{path}: empty signal")
-    return SampleBuffer(arr, sample_rate_hz)
+    return _named_buffer(path, arr, sample_rate_hz)
 
 
 def load_wav_pcm16(path) -> SampleBuffer:
@@ -83,10 +93,7 @@ def load_wav_pcm16(path) -> SampleBuffer:
         raise ValueError(f"{path}: not a readable PCM WAV file ({exc})") from None
     if len(data) < 2 * n_frames:
         raise ValueError(f"{path}: truncated WAV: {len(data) // 2} of {n_frames} frames present")
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
-    if samples.size == 0:
-        raise ValueError(f"{path}: empty signal")
-    return SampleBuffer(samples, rate)
+    return _named_buffer(path, np.frombuffer(data, dtype="<i2").astype(np.float64), rate)
 
 
 def write_text_samples(buffer: SampleBuffer, path) -> None:

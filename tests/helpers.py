@@ -221,6 +221,27 @@ def autocorr_period(x, min_lag, max_lag):
     return min_lag + int(np.argmax(acf[min_lag : max_lag + 1]))
 
 
+def reference_load_text(data: bytes):
+    """Read a one-number-per-line text signal one line at a time with
+    float(): the list of sample values. A refused file raises ValueError
+    whose only argument is the faulty line number (None when the fault is
+    the encoding, an empty signal or a non-finite value)."""
+    try:
+        lines = data.decode("utf-8-sig").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(None) from None
+    values = []
+    for lineno, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ValueError(lineno) from None
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ValueError(None)
+    return values
+
+
 MODEL_HEADER = "PSV-MODELS v1"
 MODEL_VOWELS = ("a", "e", "i", "o", "u")
 

@@ -3,6 +3,12 @@ is solved in one Levinson-Durbin and cepstral batch. Each file's vector
 must equal its solo computation bit for bit, an ill-conditioned frame must
 fail only its own utterance, and each failure carries its pipeline stage."""
 
+import multiprocessing
+import os
+import pickle
+import signal
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -11,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import composed_vector, first_ill_conditioned, loop_cepstra
-from psverify import features
+from psverify import features, pipeline
 from psverify.evaluation import VOWEL_FORMANTS, run_evaluation, synth_vowel
 from psverify.features import (
     LPC_ORDER,
@@ -23,6 +29,7 @@ from psverify.features import (
     select_steady_state,
 )
 from psverify.pipeline import (
+    MIN_FILES_PER_WORKER,
     PipelineError,
     detect_marks,
     features_of_files,
@@ -244,3 +251,155 @@ class TestStageTags:
         assert isinstance(bad, PipelineError)
         assert (bad.stage, str(bad)) == ("preprocess", "samples too large: removing their mean overflows float64")
         np.testing.assert_array_equal(result.vector, solo_vectors[good.path][0])
+
+
+def test_pipeline_error_survives_pickle():
+    error = pickle.loads(pickle.dumps(PipelineError("marks", "x")))
+    assert type(error) is PipelineError
+    assert (error.stage, str(error)) == ("marks", "x")
+
+
+def outcome(result):
+    """What a pass says of one file: its vector bytes, or its failure's
+    type, stage and message."""
+    if isinstance(result, Exception):
+        return type(result), getattr(result, "stage", None), str(result)
+    return result.vector.tobytes()
+
+
+@pytest.fixture
+def counted_forks(monkeypatch):
+    """Process ids forked from this process while the test runs."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+class TestWorkers:
+    """A pass of at least MIN_FILES_PER_WORKER files per worker runs in
+    forked worker processes; two usable CPUs are assumed, so the worker
+    path runs on any host."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def mixed_pass(self, small_corpus, stage_inputs, tmp_path):
+        """Every corpus file, with a malformed, a missing, a non-UTF-8 and a
+        silent file among them."""
+        _, entries = small_corpus
+        (malformed, _, _), (silent, _, _) = stage_inputs[:2]
+        not_utf8 = tmp_path / "not_utf8.txt"
+        not_utf8.write_bytes(b"\xff\xfe1\n2\n")
+        bad = [malformed, tmp_path / "missing.txt", not_utf8, silent]
+        files = [(e.path, e.vowel) for e in entries]
+        for i, path in enumerate(bad):
+            files.insert(1 + 11 * i, (path, "a"))
+        assert len(files) >= 2 * MIN_FILES_PER_WORKER
+        return files
+
+    @pytest.fixture
+    def solo_outcomes(self, mixed_pass):
+        """outcome() of each file of the mixed pass, each in a pass of its own."""
+        return [outcome(features_of_files([file])[0]) for file in mixed_pass]
+
+    def test_pass_equals_each_file_alone(self, mixed_pass, solo_outcomes, solo_vectors, counted_forks):
+        results = features_of_files(f for f in mixed_pass)
+        assert len(counted_forks) == 2
+        assert multiprocessing.active_children() == []
+        assert list(map(outcome, results)) == solo_outcomes
+        for (path, _), result in zip(mixed_pass, results):
+            if path in solo_vectors:
+                assert result.vector.tobytes() == solo_vectors[path][0].tobytes()
+        failures = [(type(r), getattr(r, "stage", None)) for r in results if isinstance(r, Exception)]
+        assert failures == [(PipelineError, "load"), (FileNotFoundError, None),
+                            (PipelineError, "load"), (PipelineError, "preprocess")]
+
+    def test_one_file_pass_starts_no_process(self, small_corpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("a one-file pass forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        entry = small_corpus[1][0]
+        (result,) = features_of_files([(entry.path, entry.vowel)])
+        assert result.vector.tobytes() == utterance_features_from_file(entry.path, entry.vowel).vector.tobytes()
+
+    def test_threaded_caller_stays_in_process(self, mixed_pass, solo_outcomes, monkeypatch):
+        def no_fork():
+            raise AssertionError("a pass forked a threaded process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            results = features_of_files(mixed_pass)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert list(map(outcome, results)) == solo_outcomes
+
+    def test_failing_worker_is_joined(self, mixed_pass, monkeypatch, counted_forks):
+        # not a ValueError or OSError, so the pass itself fails
+        def no_memory(buffer, config):
+            raise MemoryError("out of memory")
+
+        monkeypatch.setattr(pipeline, "detect_marks", no_memory)
+        with pytest.raises(MemoryError, match="out of memory"):
+            features_of_files(mixed_pass)
+        assert len(counted_forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_workers_leave_ctrl_c_to_the_parent(self, mixed_pass, solo_outcomes, monkeypatch, counted_forks):
+        real = pipeline.detect_marks
+        parent = os.getpid()
+
+        def ctrl_c_in_worker(buffer, config):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(buffer, config)
+
+        monkeypatch.setattr(pipeline, "detect_marks", ctrl_c_in_worker)
+        try:
+            results = features_of_files(mixed_pass)
+        except KeyboardInterrupt:
+            pytest.fail("a worker's Ctrl-C ended the pass")
+        assert len(counted_forks) == 2
+        assert list(map(outcome, results)) == solo_outcomes
+
+    def test_interrupted_pass_joins_its_workers(self, mixed_pass, solo_vectors, monkeypatch, counted_forks, tmp_path):
+        real = pipeline.detect_marks
+        calls = tmp_path / "calls"
+
+        def slow_marks(buffer, config):
+            with open(calls, "a") as fh:  # one byte per call, from any process
+                fh.write(".")
+            time.sleep(0.05)
+            return real(buffer, config)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pipeline, "detect_marks", slow_marks)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.3)
+            with pytest.raises(KeyboardInterrupt):
+                features_of_files(mixed_pass)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(counted_forks) == 2
+        assert multiprocessing.active_children() == []
+        # the chunks still queued were cancelled
+        assert len(calls.read_text()) < len(solo_vectors)

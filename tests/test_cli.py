@@ -238,6 +238,13 @@ class TestSignalCommands:
     def test_missing_input_is_data_error(self, tmp_path):
         assert cli.main(["pitch-marks", str(tmp_path / "nope.txt")]) == 2
 
+    def test_non_utf8_text_is_data_error_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe1\n2\n")
+        assert cli.main(["features", str(path), "--vowel", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text: ")
+
     @pytest.mark.parametrize("size", [30, 44 + 200])
     def test_truncated_wav_is_data_error(self, vowel_file, tmp_path, capsys, size):
         samples = load_text_samples(vowel_file).samples

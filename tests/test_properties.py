@@ -15,6 +15,7 @@ from helpers import (
     loop_cepstra,
     loop_levinson,
     reference_load_models,
+    reference_load_text,
     report_key,
     weighted_distance,
 )
@@ -224,6 +225,48 @@ def test_text_loader_gives_finite_samples_or_value_error(text_path, data):
         return
     assert buffer.samples.size > 0
     assert np.all(np.isfinite(buffer.samples))
+
+
+# text signals: numbers as the writer and other tools print them, among
+# which go a few blank, padded, two-number, underscored, non-finite or
+# malformed lines
+number_lines = st.one_of(
+    st.floats(-1e6, 1e6).map(lambda v: format(v, ".12g")),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-32768, 32767).map(str),
+)
+odd_lines = st.sampled_from(["", " ", "\t", " 7 ", "2 3", "1_0", "+.5e3", "inf", "-inf", "nan", "1e999", "x"])
+
+
+@st.composite
+def signal_texts(draw):
+    lines = draw(st.lists(number_lines, max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(odd_lines))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + (newline if draw(st.booleans()) else "")
+    return draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xff"])) + text.encode("utf-8")
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=signal_texts())
+def test_text_loader_agrees_with_line_oracle(text_path, data):
+    text_path.write_bytes(data)
+    try:
+        expected = reference_load_text(data)
+    except ValueError as fault:
+        (lineno,) = fault.args
+        with pytest.raises(ValueError) as refused:
+            load_text_samples(text_path)
+        message = str(refused.value)
+        assert message.startswith(f"{text_path}: ")
+        if lineno:
+            assert message.startswith(f"{text_path}: line {lineno}: not a number: ")
+        else:
+            assert not message.startswith(f"{text_path}: line ")
+        return
+    loaded = load_text_samples(text_path).samples
+    assert loaded.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
 
 # model-file fields: tokens both readers take, tokens that break a rule,
