@@ -216,7 +216,8 @@ def make_synthetic_corpus(
     Each synthetic speaker gets a distinct fundamental and a vocal-tract
     scale applied to the vowel formant table; every utterance shifts both
     slightly so train and test samples differ. Every utterance is drawn and
-    checked before the directory is made. Returns (manifest_path, entries).
+    checked before the directory is made. Returns (manifest_path, entries),
+    the entries as `load_manifest(manifest_path)` reads them.
     """
     if n_speakers < 2:
         raise ValueError("need at least two speakers")
@@ -248,10 +249,9 @@ def make_synthetic_corpus(
         buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
                              seed=utt_seed, silence_pad_s=silence_pad_s)
         write_text_samples(buffer, out_dir / entry.path)
-    entries = [entry for entry, *_ in plan]
     manifest_path = out_dir / "manifest.csv"
-    write_manifest(entries, manifest_path)
-    return manifest_path, entries
+    write_manifest([entry for entry, *_ in plan], manifest_path)
+    return manifest_path, load_manifest(manifest_path)
 
 
 # ---------------------------------------------------------------------------

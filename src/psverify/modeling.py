@@ -1,5 +1,5 @@
-"""Speaker models: per-(speaker, vowel) mean feature vectors and their
-line-oriented persistence format.
+"""Speaker models: per-(speaker, vowel) mean feature vectors, and the one
+file format they are saved in and loaded from.
 
 A ModelSet keeps each vowel's models as columns: the speaker ids in
 lexicographic order, a read-only (S, 16) matrix and an utterance-count
@@ -18,22 +18,14 @@ import numpy as np
 from .features import UtteranceFeatures, VOWELS
 
 MODEL_DIM = 16
-FORMAT_HEADER = "PSV-MODELS v1"
+FORMAT_HEADER = "PSV-MODELS v2"
 _MAX_UTTERANCES = int(np.iinfo(np.int64).max)
-
-# one model line: speaker id, vowel, utterance count, 16 values
-_LINE_FORMAT = "%s %s %d" + " %.12g" * MODEL_DIM
-_LINE_DTYPE = np.dtype([
-    ("sid", object), ("vowel", "U2"), ("n", np.int64), ("values", np.float64, (MODEL_DIM,)),
-])
-# files made only of these bytes are parsed by column; splitting them on
-# "\n" and " " gives the lines and fields that str.splitlines/str.split give
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n"
 
 
 def speaker_id_error(speaker_id: str) -> str | None:
-    """Why a speaker id cannot be one field of a model line, or None."""
-    if not speaker_id or any(ch.isspace() for ch in speaker_id):
+    """Why a speaker id cannot be one field of a model file's id line, or None."""
+    # str.split() cuts at exactly the characters that str.isspace() names
+    if speaker_id.split() != [speaker_id]:
         return f"speaker id must be non-empty and contain no whitespace: {speaker_id!r}"
     return None
 
@@ -198,98 +190,56 @@ def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:
 
 
 def save_models(model_set: ModelSet, path) -> None:
-    """Write the v1 text format, one model per line, sorted by (speaker, vowel)."""
-    ids, vowels, matrices, counts = [], [], [], []
-    for vowel in sorted(model_set._rows):
-        vowel_ids, matrix, vowel_counts = model_set._read(vowel)
-        ids.extend(vowel_ids)
-        vowels.extend([vowel] * len(vowel_ids))
-        matrices.append(matrix)
-        counts.append(vowel_counts)
-    # a stable sort by id keeps each speaker's vowels in sorted order
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    rows = np.concatenate(matrices or [np.empty((0, MODEL_DIM))])[order].tolist()
-    ns = np.concatenate(counts or [np.empty(0, np.int64)])[order].tolist()
-    lines = [FORMAT_HEADER]
-    lines.extend(_LINE_FORMAT % (ids[i], vowels[i], n, *row) for i, n, row in zip(order, ns, rows))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the v2 format: the header line; one line per vowel, in VOWELS
+    order, holding the vowel and its sorted speaker ids separated by
+    spaces; then, per vowel in the same order, its (S, 16) matrix as
+    little-endian float64 and its S counts as little-endian int64."""
+    columns = [model_set._read(vowel) for vowel in VOWELS]
+    lines = [FORMAT_HEADER] + [" ".join((vowel, *ids)) for vowel, (ids, _, _) in zip(VOWELS, columns)]
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+        for _, matrix, counts in columns:
+            fh.write(matrix.astype("<f8", copy=False).tobytes())
+            fh.write(counts.astype("<i8", copy=False).tobytes())
 
 
 def load_models(path) -> ModelSet:
-    """Read the v1 text format back, validating layout, values and key
-    uniqueness.
-
-    A file of printable ASCII lines is parsed a column at a time. Any other
-    file, or one the column parse rejects, is read line by line, which
-    accepts the same files and names the line of the first fault.
-    """
+    """Read the v2 format back, or raise a ValueError naming the path: for
+    any other header, a vowel line out of place, a bad or repeated speaker
+    id, a body whose size the id lines do not fix, a non-finite value or a
+    count below 1."""
     path = Path(path)
-    data = path.read_bytes()
-    if data.isascii() and not data.translate(None, _PLAIN_BYTES):
-        try:
-            return _model_set(*_parse_columns(data.decode("ascii")))
-        except ValueError:
-            pass
-    return _model_set(*_parse_lines(path, data.decode("utf-8").splitlines()))
-
-
-def _parse_columns(text: str):
-    """(ids, vowels, counts, matrix) of a plain model file in one numpy
-    parse, or ValueError without a line number."""
-    header, *body = text.split("\n")
-    if header.strip() != FORMAT_HEADER:
-        raise ValueError("bad header")
-    if not any(line.strip() for line in body):
-        return [], np.empty(0, str), np.empty(0, np.int64), np.empty((0, MODEL_DIM))
-    # blank lines are skipped; every other line must hold exactly 19 fields
-    lines = np.loadtxt(body, dtype=_LINE_DTYPE, comments=None, ndmin=1)
-    return lines["sid"].tolist(), lines["vowel"], lines["n"], lines["values"]
-
-
-def _parse_lines(path: Path, lines: list[str]):
-    """(ids, vowels, counts, matrix) read one line at a time, or a
-    ValueError naming the first line that breaks a rule."""
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        raise ValueError(f"{path}: expected header {FORMAT_HEADER!r}")
-    ids, vowels, counts, rows = [], [], [], []
-    seen = set()
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 3 + MODEL_DIM:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {3 + MODEL_DIM} fields, got {len(tokens)}"
-            )
-        sid, vowel, n_text = tokens[:3]
-        try:
-            n = int(n_text)
-            values = np.array([float(t) for t in tokens[3:]])
-        except ValueError:
-            raise ValueError(f"{path}: line {lineno}: malformed number") from None
-        if (sid, vowel) in seen:
-            raise ValueError(f"{path}: line {lineno}: duplicate model for ({sid}, {vowel})")
-        seen.add((sid, vowel))
-        error = _model_error(sid, vowel, values, n)
-        if error:
-            raise ValueError(f"{path}: line {lineno}: {error}")
-        ids.append(sid)
-        vowels.append(vowel)
-        counts.append(n)
-        rows.append(values)
-    matrix = np.array(rows, dtype=np.float64).reshape(len(rows), MODEL_DIM)
-    return ids, np.array(vowels, dtype=str), np.array(counts, dtype=np.int64), matrix
-
-
-def _model_set(ids: list[str], vowels: np.ndarray, counts: np.ndarray, matrix: np.ndarray) -> ModelSet:
-    """A ModelSet from parallel per-model columns in any order, or
-    ValueError if a row breaks a model rule or a key repeats."""
-    if not (np.isfinite(matrix).all() and (counts >= 1).all() and np.isin(vowels, VOWELS).all()):
-        raise ValueError("model values must be finite, counts at least 1 and vowels known")
-    model_set = ModelSet()
-    for vowel in VOWELS:
-        rows = np.flatnonzero(vowels == vowel)
-        if rows.size:
-            sids = [sys.intern(ids[i]) for i in rows.tolist()]
-            model_set._merge(vowel, sids, matrix[rows], counts[rows])
+    header, _, rest = path.read_bytes().partition(b"\n")
+    *lines, body = rest.split(b"\n", len(VOWELS))
+    try:
+        if header != FORMAT_HEADER.encode():
+            raise ValueError(f"not a {FORMAT_HEADER!r} model file; run enroll again to rebuild it")
+        if len(lines) < len(VOWELS):
+            raise ValueError("file ends inside the speaker id lines")
+        ids_of = []
+        for lineno, (vowel, line) in enumerate(zip(VOWELS, lines), 2):
+            name, *ids = line.decode("utf-8").split(" ")
+            if name != vowel:
+                raise ValueError(f"line {lineno}: expected the speaker ids of vowel {vowel!r}")
+            for sid in ids:
+                if error := speaker_id_error(sid):
+                    raise ValueError(f"line {lineno}: {error}")
+            ids_of.append([sys.intern(sid) for sid in ids])
+        row_bytes = 8 * (MODEL_DIM + 1)
+        size = row_bytes * sum(map(len, ids_of))
+        if len(body) != size:
+            raise ValueError(f"model data holds {len(body)} bytes, the id lines fix {size}")
+        model_set, offset = ModelSet(), 0
+        for vowel, ids in zip(VOWELS, ids_of):
+            n = len(ids)
+            matrix = np.frombuffer(body, "<f8", n * MODEL_DIM, offset).reshape(n, MODEL_DIM)
+            counts = np.frombuffer(body, "<i8", n, offset + 8 * n * MODEL_DIM)
+            offset += n * row_bytes
+            if not np.isfinite(matrix).all():
+                raise ValueError(f"vowel {vowel!r}: model values must be finite")
+            if not (counts >= 1).all():
+                raise ValueError(f"vowel {vowel!r}: utterance counts must be at least 1")
+            model_set._merge(vowel, ids, matrix, counts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model_set

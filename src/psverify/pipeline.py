@@ -126,16 +126,21 @@ def _ignore_interrupts():
 def _map_in_workers(fn, items, workers: int) -> list:
     """fn of each item, in order, across `workers` forked processes that are
     all joined before this returns, also when the pass fails or is
-    interrupted."""
+    interrupted. A worker that dies, as one the OOM killer ends does, fails
+    the pass with a ChildProcessError."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     # forked, not spawned: a spawned pool of two starts in about 300 ms on the
     # same host, as each worker imports numpy
     context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_ignore_interrupts) as pool:
-        # map cancels the chunks not yet handed out when its results raise
-        return list(pool.map(fn, items, chunksize=FILES_PER_CHUNK))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_ignore_interrupts) as pool:
+            # map cancels the chunks not yet handed out when its results raise
+            return list(pool.map(fn, items, chunksize=FILES_PER_CHUNK))
+    except BrokenProcessPool as exc:
+        raise ChildProcessError("a worker process died before the pass finished") from exc
 
 
 def _usable_cpus() -> int:

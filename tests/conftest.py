@@ -13,10 +13,9 @@ def config():
 def small_corpus(tmp_path_factory):
     """3 speakers x 5 vowels x (2 train + 1 test), deterministic."""
     root = tmp_path_factory.mktemp("corpus")
-    manifest_path, _ = evaluation.make_synthetic_corpus(
+    return evaluation.make_synthetic_corpus(
         root, n_speakers=3, train_per_vowel=2, test_per_vowel=1, seed=7
     )
-    return manifest_path, evaluation.load_manifest(manifest_path)
 
 
 @pytest.fixture(scope="session")

@@ -240,49 +240,3 @@ def reference_load_text(data: bytes):
     if not values or not all(math.isfinite(v) for v in values):
         raise ValueError(None)
     return values
-
-
-MODEL_HEADER = "PSV-MODELS v1"
-MODEL_VOWELS = ("a", "e", "i", "o", "u")
-
-
-def reference_model_text(records):
-    """The v1 model file as first written: one line per (speaker id, vowel,
-    count, 16 values) record, sorted by (speaker, vowel), each value
-    formatted on its own with format(v, ".12g")."""
-    lines = [MODEL_HEADER]
-    for sid, vowel, n, values in sorted(records, key=lambda r: (r[0], r[1])):
-        lines.append(f"{sid} {vowel} {n} " + " ".join(format(v, ".12g") for v in values))
-    return "\n".join(lines) + "\n"
-
-
-def reference_load_models(data: bytes):
-    """Read a v1 model file one line at a time with str.split, int and
-    float: {(sid, vowel): (count, [16 floats])}. A broken file raises
-    ValueError whose only argument is the faulty line number (None for the
-    header or the encoding)."""
-    try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise ValueError(None) from None
-    if not lines or lines[0].strip() != MODEL_HEADER:
-        raise ValueError(None)
-    models = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            if len(tokens) != 19:
-                raise ValueError
-            sid, vowel = tokens[:2]
-            n = int(tokens[2])
-            values = [float(t) for t in tokens[3:]]
-            if (sid, vowel) in models or vowel not in MODEL_VOWELS:
-                raise ValueError
-            if not (1 <= n < 2**63 and all(math.isfinite(v) for v in values)):
-                raise ValueError
-        except ValueError:
-            raise ValueError(lineno) from None
-        models[sid, vowel] = (n, values)
-    return models

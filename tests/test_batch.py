@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import composed_vector, first_ill_conditioned, loop_cepstra
-from psverify import features, pipeline
-from psverify.evaluation import VOWEL_FORMANTS, run_evaluation, synth_vowel
+from psverify import cli, features, pipeline
+from psverify.evaluation import VOWEL_FORMANTS, make_synthetic_corpus, run_evaluation, synth_vowel
 from psverify.features import (
     LPC_ORDER,
     autocorrelation,
@@ -267,6 +267,20 @@ def outcome(result):
     return result.vector.tobytes()
 
 
+# the corpus file whose worker _staged_killing_its_worker kills
+KILLED_FILE = "s02_e_train01.txt"
+_real_staged = pipeline._staged
+
+
+def _staged_killing_its_worker(path, config):
+    """pipeline._staged, except that the worker handed KILLED_FILE dies as
+    one the OOM killer ends does. Module level, so a pool can pickle it."""
+    if os.path.basename(path) == KILLED_FILE:
+        assert multiprocessing.parent_process() is not None, "the test process would be killed"
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_staged(path, config)
+
+
 @pytest.fixture
 def counted_forks(monkeypatch):
     """Process ids forked from this process while the test runs."""
@@ -358,6 +372,19 @@ class TestWorkers:
         with pytest.raises(MemoryError, match="out of memory"):
             features_of_files(mixed_pass)
         assert len(counted_forks) == 2
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_is_a_data_error(self, mixed_pass, monkeypatch, counted_forks, tmp_path, capsys):
+        monkeypatch.setattr(pipeline, "_staged", _staged_killing_its_worker)
+        assert KILLED_FILE in {os.path.basename(path) for path, _ in mixed_pass}
+        with pytest.raises(ChildProcessError, match="a worker process died"):
+            features_of_files(mixed_pass)
+        assert len(counted_forks) == 2
+        assert multiprocessing.active_children() == []
+        # 2 speakers x 5 vowels x 4 train files: a pass of 40, KILLED_FILE among them
+        manifest, _ = make_synthetic_corpus(tmp_path / "corpus", 2, 4, 0, seed=7)
+        assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "models.bin")]) == 2
+        assert capsys.readouterr().err.endswith("error: a worker process died before the pass finished\n")
         assert multiprocessing.active_children() == []
 
     def test_workers_leave_ctrl_c_to_the_parent(self, mixed_pass, solo_outcomes, monkeypatch, counted_forks):

@@ -321,6 +321,13 @@ class TestRecognitionCommands:
         ])
         assert code == 2
 
+    def test_identify_v1_models_is_data_error(self, vowel_file, tmp_path, capsys):
+        v1 = tmp_path / "v1.txt"
+        v1.write_text("PSV-MODELS v1\ns01 a 3 " + " ".join(["1.0"] * 16) + "\n")
+        code = cli.main(["identify", str(vowel_file), "--models", str(v1), "--vowel", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {v1}: not a 'PSV-MODELS v2' model file; run enroll")
+
     def test_config_file_weights(self, enrolled, tmp_path, capsys, monkeypatch):
         models_path, entries = enrolled
         train = next(e for e in entries if e.split == "train")

@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -87,10 +90,22 @@ class TestSyntheticCorpus:
         m1, e1 = make_synthetic_corpus(tmp_path / "a", 2, 1, 1, seed=5)
         m2, e2 = make_synthetic_corpus(tmp_path / "b", 2, 1, 1, seed=5)
         assert m1.read_text() == m2.read_text()
-        assert e1 == e2
-        for entry in e1[:3]:
-            assert ((tmp_path / "a" / entry.path).read_bytes()
-                    == (tmp_path / "b" / entry.path).read_bytes())
+        # the entries' paths lead into each corpus directory; relative to it they agree
+        relative = [
+            [replace(e, path=Path(e.path).relative_to(root)) for e in entries]
+            for root, entries in ((tmp_path / "a", e1), (tmp_path / "b", e2))
+        ]
+        assert relative[0] == relative[1]
+        for a, b in zip(e1[:3], e2[:3]):
+            assert Path(a.path).read_bytes() == Path(b.path).read_bytes()
+
+    def test_entries_are_the_manifest_read_back(self, tmp_path, monkeypatch):
+        # paths lead to the files from any working directory, as load_manifest's do
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        manifest, entries = make_synthetic_corpus(Path("..") / "corpus", 2, 1, 1, seed=5)
+        assert entries == load_manifest(manifest)
+        assert all(Path(e.path).is_file() for e in entries)
 
     def test_single_speaker_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="two speakers"):
