@@ -71,8 +71,8 @@ def _parse_formants(text):
 
 
 def _setting_groups() -> list[argparse.ArgumentParser]:
-    """Parent parsers for the signal, trimming, pitch and weight settings; a
-    command that reads one group reads all before it, so takes a prefix."""
+    """Parent parsers for the signal, pitch and weight settings; a command
+    that reads one group reads all before it, so takes a prefix."""
     d = pipeline.PipelineConfig()
     parents = []
 
@@ -84,15 +84,6 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
     g.add_argument("--config", metavar="FILE", help="key=value config file; flags win")
     g.add_argument("--sample-rate", dest="sample_rate_hz", type=int, metavar="HZ",
                    help=f"rate for text inputs (default {d.sample_rate_hz})")
-    g = group("trimming options")
-    g.add_argument("--frame-len", dest="frame_len", type=int,
-                   help=f"silence frame length (default {d.frame_len})")
-    g.add_argument("--frame-shift", dest="frame_shift", type=int,
-                   help=f"silence frame shift (default {d.frame_shift})")
-    g.add_argument("--silence-multiplier", dest="silence_multiplier", type=float,
-                   help=f"speech-energy factor over silence (default {d.silence_multiplier:g})")
-    g.add_argument("--silence-frames", dest="silence_frames", type=int,
-                   help=f"lowest-energy frames averaged as silence (default {d.silence_frames})")
     g = group("pitch options")
     g.add_argument("--min-f0", dest="min_f0_hz", type=float,
                    help=f"lowest admissible F0 (default {d.min_f0_hz:g})")
@@ -117,38 +108,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(handler=handler)
         return p
 
-    p = command(sub, "preprocess", _cmd_preprocess, 2,
+    p = command(sub, "preprocess", _cmd_preprocess, 1,
                 "DC-correct, normalize and silence-trim a signal")
     p.add_argument("input")
     p.add_argument("output")
 
-    p = command(sub, "pitch-marks", _cmd_pitch_marks, 3,
+    p = command(sub, "pitch-marks", _cmd_pitch_marks, 2,
                 "print the polarity used and one mark index per line")
     p.add_argument("input")
 
-    p = command(sub, "features", _cmd_features, 3, "print the 16 feature values on one line")
+    p = command(sub, "features", _cmd_features, 2, "print the 16 feature values on one line")
     p.add_argument("input")
-    p.add_argument("--vowel", choices=VOWELS, default="a",
-                   help="vowel label to attach (metadata only; default a)")
 
-    p = command(sub, "enroll", _cmd_enroll, 3, "train models from a manifest")
+    p = command(sub, "enroll", _cmd_enroll, 2, "train models from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
 
-    p = command(sub, "identify", _cmd_identify, 4,
+    p = command(sub, "identify", _cmd_identify, 3,
                 "closed-set identification with the agree-or-reject rule")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = command(sub, "verify", _cmd_verify, 4,
+    p = command(sub, "verify", _cmd_verify, 3,
                 "check an identity claim; exits 0 verified, 2 impostor, 3 retry")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--claim", required=True, metavar="SPEAKER")
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = command(sub, "evaluate", _cmd_evaluate, 4,
+    p = command(sub, "evaluate", _cmd_evaluate, 3,
                 "batch evaluation; prints tables and writes CSV reports")
     p.add_argument("--models", required=True)
     p.add_argument("--manifest", required=True)
@@ -177,13 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_preprocess(args, cfg, weights) -> int:
-    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
+    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg))
     signal_io.write_text_samples(buffer, args.output)
     return 0
 
 
 def _cmd_pitch_marks(args, cfg, weights) -> int:
-    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg), cfg)
+    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg))
     marks = pipeline.detect_marks(buffer, cfg)
     print("polarity", "positive" if marks.polarity_used > 0 else "negative")
     for index in marks.mark_indices:
@@ -192,7 +181,8 @@ def _cmd_pitch_marks(args, cfg, weights) -> int:
 
 
 def _cmd_features(args, cfg, weights) -> int:
-    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
+    # the vowel is only a label: it changes none of the 16 values
+    features = pipeline.utterance_features_from_file(args.input, "a", cfg)
     print(" ".join(format(v, ".9g") for v in features.vector))
     return 0
 

@@ -18,7 +18,7 @@ from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
 from .modeling import ModelSet, build_model, speaker_id_error
 from .pipeline import PipelineConfig, features_of_files
-from .signal_io import SampleBuffer, write_text_samples
+from .signal_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_text_samples
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +163,7 @@ def synth_vowel(
     f0_hz: float,
     formants,
     duration_s: float,
-    sample_rate_hz: int = 16000,
+    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
     seed: int = 0,
     silence_pad_s: float = 0.0,
 ) -> SampleBuffer:
@@ -207,7 +207,7 @@ def make_synthetic_corpus(
     train_per_vowel: int = 20,
     test_per_vowel: int = 5,
     seed: int = 12345,
-    sample_rate_hz: int = 16000,
+    sample_rate_hz: int = DEFAULT_SAMPLE_RATE_HZ,
     duration_s: float = 0.35,
     silence_pad_s: float = 0.04,
 ):

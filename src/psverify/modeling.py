@@ -147,7 +147,8 @@ class ModelSet:
         matrix.flags.writeable = counts.flags.writeable = False
         rows = dict(zip(ids, range(len(ids))))
         if len(rows) != len(ids):
-            raise ValueError("duplicate speaker id")
+            repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+            raise ValueError(f"duplicate speaker id {repeated!r} for vowel {vowel!r}")
         self._columns[vowel] = ids, matrix, counts
         self._rows[vowel] = rows
 

@@ -43,13 +43,9 @@ class PipelineError(ValueError):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Numeric knobs of the pipeline; defaults follow the reference setup."""
+    """Text-input sample rate and pitch bounds; defaults follow the reference setup."""
 
-    sample_rate_hz: int = 16000
-    frame_len: int = 100
-    frame_shift: int = 50
-    silence_multiplier: float = 1.10
-    silence_frames: int = 10
+    sample_rate_hz: int = signal_io.DEFAULT_SAMPLE_RATE_HZ
     min_f0_hz: float = 50.0
     max_f0_hz: float = 500.0
 
@@ -60,8 +56,6 @@ class PipelineConfig:
                 raise ValueError(f"{field.name} must be finite and positive")
             if field.type is int and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{field.name} must be an integer, got {value!r}")
-        if self.frame_shift > self.frame_len:
-            raise ValueError(f"need frame_shift <= frame_len, got {self.frame_shift}/{self.frame_len}")
         if self.min_f0_hz >= self.max_f0_hz:
             raise ValueError("need min_f0_hz < max_f0_hz")
         self.period_bounds(self.sample_rate_hz)
@@ -84,11 +78,10 @@ def load_signal(path, config: PipelineConfig = PipelineConfig()) -> SampleBuffer
 
 
 def preprocess_signal(buffer: SampleBuffer, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:
-    """DC removal, normalization to the fixed peak, silence trimming, in that order."""
+    """DC removal, normalization to the fixed peak, silence trimming, in that
+    order. No setting applies: `config` is accepted for callers and ignored."""
     x = preprocess.normalize_peak(preprocess.remove_dc(buffer.samples))
-    start, stop = preprocess.speech_span(
-        x, config.frame_len, config.frame_shift, config.silence_frames, config.silence_multiplier
-    )
+    start, stop = preprocess.speech_span(x)
     return SampleBuffer(x[start:stop], buffer.sample_rate_hz)
 
 
@@ -108,7 +101,7 @@ def _staged(path, config: PipelineConfig):
     try:
         buffer = load_signal(path, config)
         stage = "preprocess"
-        buffer = preprocess_signal(buffer, config)
+        buffer = preprocess_signal(buffer)
         stage = "marks"
         marks = detect_marks(buffer, config)
         stage = "features"

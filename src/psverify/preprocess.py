@@ -1,13 +1,17 @@
 """DC correction, peak normalization and short-time-energy silence trimming.
 
 Pipeline order is DC removal, then normalization to the fixed `PEAK`, then
-silence removal on frames with the 110% rule; the trimming settings and
-their defaults live in `pipeline.PipelineConfig`.
+silence removal on frames with the 110% rule, all fixed as in the reference setup.
 """
 
 import numpy as np
 
 PEAK = 10000.0  # the reference setup's; every later stage is scale-free
+# the reference setup's silence-trimming rule, as speech_span applies it
+FRAME_LEN = 100
+FRAME_SHIFT = 50
+SILENCE_FRAMES = 10
+SILENCE_MULTIPLIER = 1.10
 
 
 def remove_dc(x: np.ndarray) -> np.ndarray:
@@ -30,28 +34,26 @@ def normalize_peak(x: np.ndarray) -> np.ndarray:
     return x * scale
 
 
-def speech_span(
-    x: np.ndarray, frame_len: int, frame_shift: int, silence_frames: int, silence_multiplier: float
-) -> tuple[int, int]:
+def speech_span(x: np.ndarray) -> tuple[int, int]:
     """The [start, stop) sample span from the first through the last speech frame.
 
-    Frame i covers samples [i*shift, i*shift+len); its energy is the mean of
-    the squared samples. The silence reference is the mean energy of the
-    `silence_frames` lowest-energy frames, and a frame counts as speech only
-    when its energy is strictly beyond silence_multiplier times that
-    reference. Interior low-energy frames stay in the span: cutting them out
+    Frame i covers samples [i*FRAME_SHIFT, i*FRAME_SHIFT+FRAME_LEN); its
+    energy is the mean of the squared samples. The silence reference is the
+    mean energy of the SILENCE_FRAMES lowest-energy frames, and a frame counts
+    as speech only when its energy is strictly beyond SILENCE_MULTIPLIER times
+    that reference. Interior low-energy frames stay in the span: cutting them out
     would splice the waveform and corrupt pitch marking downstream.
     """
     n = x.size
-    if n < frame_len:
-        raise ValueError(f"signal of {n} samples is shorter than one frame ({frame_len})")
-    n_frames = (n - frame_len) // frame_shift + 1
+    if n < FRAME_LEN:
+        raise ValueError(f"signal of {n} samples is shorter than one frame ({FRAME_LEN})")
+    n_frames = (n - FRAME_LEN) // FRAME_SHIFT + 1
     sq = np.concatenate((np.zeros(1), np.cumsum(x * x)))
-    starts = np.arange(n_frames) * frame_shift
-    energies = (sq[starts + frame_len] - sq[starts]) / frame_len
-    k = min(silence_frames, n_frames)
+    starts = np.arange(n_frames) * FRAME_SHIFT
+    energies = (sq[starts + FRAME_LEN] - sq[starts]) / FRAME_LEN
+    k = min(SILENCE_FRAMES, n_frames)
     silence = float(np.mean(np.partition(energies, k - 1)[:k]))
-    speech = np.flatnonzero(energies > silence_multiplier * silence)
+    speech = np.flatnonzero(energies > SILENCE_MULTIPLIER * silence)
     if speech.size == 0:
         raise ValueError("no speech detected")
-    return int(speech[0]) * frame_shift, int(speech[-1]) * frame_shift + frame_len
+    return int(speech[0]) * FRAME_SHIFT, int(speech[-1]) * FRAME_SHIFT + FRAME_LEN

@@ -61,15 +61,14 @@ class TestParsing:
 
 
 SIGNAL = {"--config", "--sample-rate"}
-TRIMMING = {"--frame-len", "--frame-shift", "--silence-multiplier", "--silence-frames"}
 PITCH = {"--min-f0", "--max-f0"}
 WEIGHTS = {"--cepstral-weights", "--temporal-weights"}
-SETTINGS = SIGNAL | TRIMMING | PITCH | WEIGHTS
+SETTINGS = SIGNAL | PITCH | WEIGHTS
 SETTINGS_BY_PARSER = {
-    "preprocess": SIGNAL | TRIMMING,
-    "pitch-marks": SIGNAL | TRIMMING | PITCH,
-    "features": SIGNAL | TRIMMING | PITCH,
-    "enroll": SIGNAL | TRIMMING | PITCH,
+    "preprocess": SIGNAL,
+    "pitch-marks": SIGNAL | PITCH,
+    "features": SIGNAL | PITCH,
+    "enroll": SIGNAL | PITCH,
     "identify": SETTINGS,
     "verify": SETTINGS,
     "evaluate": SETTINGS,
@@ -81,7 +80,7 @@ SETTINGS_BY_PARSER = {
 OWN_OPTIONS = {
     "preprocess": set(),
     "pitch-marks": set(),
-    "features": {"--vowel"},
+    "features": set(),
     "enroll": {"--manifest", "--out"},
     "identify": {"--models", "--vowel"},
     "verify": {"--models", "--claim", "--vowel"},
@@ -111,7 +110,7 @@ class TestSettingsSurface:
     def test_every_parser_is_listed(self):
         assert [name for name, _ in _sub_parsers(cli.build_parser())] == list(SETTINGS_BY_PARSER)
         assert list(OWN_OPTIONS) == list(SETTINGS_BY_PARSER)
-        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 64
+        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 36
 
     def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys):
         config = tmp_path / "psv.cfg"
@@ -125,17 +124,16 @@ class TestSettingsSurface:
         assert f"{config}: line 2: unknown key 'min_f0'" in captured.err
         assert captured.out == ""
 
-    def test_bad_frame_pair_refused_before_any_file(self, enrolled, small_corpus, tmp_path):
-        with pytest.raises(ValueError, match="frame_shift <= frame_len"):
-            PipelineConfig(frame_len=50, frame_shift=100)
+    def test_bad_pitch_bounds_refused_before_any_file(self, enrolled, small_corpus, tmp_path, capsys):
         models_path, _ = enrolled
         manifest_path, _ = small_corpus
         report_dir = tmp_path / "report"
         code = cli.main([
             "evaluate", "--models", str(models_path), "--manifest", str(manifest_path),
-            "--report", str(report_dir), "--frame-len", "50", "--frame-shift", "100",
+            "--report", str(report_dir), "--min-f0", "600", "--max-f0", "500",
         ])
         assert code == 2
+        assert "need min_f0_hz < max_f0_hz" in capsys.readouterr().err
         assert not report_dir.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -175,32 +173,34 @@ class TestSignalCommands:
         buf = load_text_samples(out)
         assert np.abs(buf.samples).max() == pytest.approx(10000.0, rel=1e-6)
 
-    def test_preprocess_config_file_and_flag_precedence(self, vowel_file, tmp_path):
-        # the frame length moves the end of the trimmed span
-        def trimmed_len(frame_len):
-            cfg = PipelineConfig(frame_len=frame_len)
-            return len(preprocess_signal(load_signal(vowel_file, cfg), cfg))
+    def test_pitch_marks_config_file_and_flag_precedence(self, vowel_file, tmp_path, capsys):
+        # near the vowel's 140 Hz, the highest admissible F0 moves its marks
+        def marks(max_f0_hz):
+            cfg = PipelineConfig(max_f0_hz=max_f0_hz)
+            buffer = preprocess_signal(load_signal(vowel_file, cfg))
+            return detect_marks(buffer, cfg).mark_indices.tolist()
 
-        assert len({trimmed_len(100), trimmed_len(80), trimmed_len(400)}) == 3
+        def printed_marks(*argv):
+            assert cli.main(["pitch-marks", str(vowel_file), *argv]) == 0
+            return [int(line) for line in capsys.readouterr().out.splitlines()[1:]]
+
+        assert marks(500.0) != marks(150.0) != marks(130.0) != marks(500.0)
         config = tmp_path / "psv.cfg"
-        config.write_text("frame_len=400\n")
-        out = tmp_path / "pre.txt"
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 0
-        assert len(load_text_samples(out)) == trimmed_len(400)
-        assert cli.main([
-            "preprocess", str(vowel_file), str(out), "--config", str(config), "--frame-len", "80",
-        ]) == 0
-        assert len(load_text_samples(out)) == trimmed_len(80)
+        config.write_text("max_f0_hz=150\n")
+        assert printed_marks("--config", str(config)) == marks(150.0)
+        assert printed_marks("--config", str(config), "--max-f0", "130") == marks(130.0)
 
-    def test_config_file_with_utf8_bom(self, vowel_file, tmp_path):
+    def test_config_file_with_utf8_bom(self, vowel_file, tmp_path, capsys):
         # editors such as Notepad start a UTF-8 file with a byte-order mark
         config = tmp_path / "psv.cfg"
-        config.write_text("frame_len=400\n", encoding="utf-8-sig")
+        config.write_text("max_f0_hz=150\n", encoding="utf-8-sig")
         assert config.read_bytes().startswith(b"\xef\xbb\xbf")
-        out, plain = tmp_path / "pre.txt", tmp_path / "plain.txt"
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 0
-        assert cli.main(["preprocess", str(vowel_file), str(plain), "--frame-len", "400"]) == 0
-        assert out.read_bytes() == plain.read_bytes()
+        assert cli.main(["pitch-marks", str(vowel_file), "--config", str(config)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli.main(["pitch-marks", str(vowel_file), "--max-f0", "150"]) == 0
+        assert capsys.readouterr().out == from_config
+        assert cli.main(["pitch-marks", str(vowel_file)]) == 0
+        assert capsys.readouterr().out != from_config
 
     def test_normalization_target_is_gone(self, vowel_file, tmp_path, capsys):
         # the peak is the fixed 10,000: the flag is a usage error, the key a data error
@@ -214,6 +214,23 @@ class TestSignalCommands:
         assert f"{config}: line 1: unknown key 'normalization_target'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--frame-len", "--frame-shift", "--silence-frames", "--silence-multiplier"])
+    def test_trimming_flag_is_usage_error(self, flag, vowel_file, tmp_path):
+        # the trimming rule is fixed in preprocess, as the peak is
+        out = tmp_path / "pre.txt"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["preprocess", str(vowel_file), str(out), flag, "10"])
+        assert exc.value.code == 1
+        assert not out.exists()
+
+    def test_trimming_config_key_is_unknown(self, vowel_file, tmp_path, capsys):
+        config = tmp_path / "psv.cfg"
+        config.write_text("max_f0_hz=500\nframe_len=100\n")
+        out = tmp_path / "pre.txt"
+        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 2
+        assert f"{config}: line 2: unknown key 'frame_len'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_pitch_marks_output(self, vowel_file, capsys):
         assert cli.main(["pitch-marks", str(vowel_file)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -225,7 +242,7 @@ class TestSignalCommands:
         assert all(b > a for a, b in zip(indices, indices[1:]))
 
     def test_features_line(self, vowel_file, capsys):
-        assert cli.main(["features", str(vowel_file), "--vowel", "a"]) == 0
+        assert cli.main(["features", str(vowel_file)]) == 0
         values = [float(tok) for tok in capsys.readouterr().out.split()]
         assert len(values) == 16
 
@@ -241,7 +258,7 @@ class TestSignalCommands:
     def test_non_utf8_text_is_data_error_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe1\n2\n")
-        assert cli.main(["features", str(path), "--vowel", "a"]) == 2
+        assert cli.main(["features", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: not UTF-8 text: ")
 
@@ -407,7 +424,7 @@ class TestRecognitionCommands:
 
 
 class TestNonFiniteSettings:
-    @pytest.mark.parametrize("field", ["min_f0_hz", "max_f0_hz", "silence_multiplier"])
+    @pytest.mark.parametrize("field", ["min_f0_hz", "max_f0_hz", "sample_rate_hz"])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_config_refuses_non_finite(self, field, bad):
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):

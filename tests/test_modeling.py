@@ -128,7 +128,7 @@ class TestPersistence:
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
         p.write_bytes(v2_bytes(["a spk spk", "e", "i", "o", "u"], [[1.0] * 16] * 2, COUNT_3 * 2))
-        assert_refused(p, "duplicate speaker id")
+        assert_refused(p, "duplicate speaker id 'spk' for vowel 'a'")
 
     @pytest.mark.parametrize("sid", ["", "s\tt", "s\rt"])
     def test_bad_speaker_id_rejected(self, tmp_path, sid):

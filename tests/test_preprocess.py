@@ -1,19 +1,9 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from psverify.pipeline import PipelineConfig, preprocess_signal
 from psverify.preprocess import PEAK, normalize_peak, remove_dc, speech_span
 from psverify.signal_io import SampleBuffer
-
-DEFAULTS = PipelineConfig()
-
-
-def span(x, **settings):
-    """speech_span with the default trimming settings, bar those given."""
-    c = dataclasses.replace(DEFAULTS, **settings)
-    return speech_span(x, c.frame_len, c.frame_shift, c.silence_frames, c.silence_multiplier)
 
 
 class TestRemoveDc:
@@ -85,60 +75,43 @@ class TestNormalizePeak:
 
 
 class TestEnergyProfile:
-    """The frame energies and the strict 110% rule, seen through the span."""
+    """The 100-sample frames every 50 samples and the strict 110% rule, seen
+    through the span."""
 
     def test_hand_computed_energies(self):
         # frames 0-8 are silent, frame 9 half speech (5e5), frames 10-18 full (1e6);
         # the silence reference is (9 * 0 + 5e5) / 10 = 5e4, so frame 9 is speech
         x = np.concatenate((np.zeros(500), np.full(500, 1000.0)))
-        assert span(x) == (450, 1000)
-        # the reference averages the k lowest frames: at k = 17 it is (5e5 + 7 * 1e6) / 17,
-        # and 1.10 times that stays below frame 9's 5e5; at k = 18 it passes 5e5
-        assert span(x, silence_frames=17) == (450, 1000)
-        assert span(x, silence_frames=18) == (500, 1000)
+        assert speech_span(x) == (450, 1000)
 
     def test_default_silence_frames_is_ten(self):
-        # 10-sample frames: 8 silent, then energies 1, 10 and 100 ahead of four at 1e4;
-        # 1.10 times the mean of the 9, 10 and 11 lowest is 0.12, 1.21 and 11.1, so each
-        # added reference frame moves the span start past one more quiet frame
-        x = np.repeat([0.0] * 8 + [1.0, np.sqrt(10.0), 10.0] + [100.0] * 4, 10)
-        frames = {"frame_len": 10, "frame_shift": 10}
-        assert span(x, silence_frames=9, **frames) == (80, 150)
-        assert span(x, silence_frames=10, **frames) == (90, 150)
-        assert span(x, silence_frames=11, **frames) == (100, 150)
-        assert span(x, **frames) == (90, 150)
+        # 50-sample blocks of energy 0 (9 blocks), 1, 9 and 169, then four of 1e4;
+        # a frame spans two blocks, so frames 0-7 are silent and frames 8, 9 and 10
+        # have energies 0.5, 5 and 89. 1.10 times the mean of the 9, 10 and 11
+        # lowest frames is 0.061, 0.605 and 9.45: a reference of 9 frames would
+        # start the span at frame 8, one of 11 at frame 10; 10 starts it at frame 9
+        x = np.repeat([0.0] * 9 + [1.0, 3.0, 13.0] + [100.0] * 4, 50)
+        assert speech_span(x) == (450, 800)
 
     def test_exact_boundary_is_non_speech(self):
-        # crafted so frame 12's energy equals 1.10 * silence (4.0) exactly in
-        # floats: only the strict > leaves it out and starts the span at frame 13
+        # frames 0-10 have energy 4.0 and frame 11 has (50 * 4 + 240) / 100 =
+        # 1.10 * 4.0 exactly in floats: only the strict > leaves it out and
+        # starts the span at frame 12
         x = np.concatenate((
-            np.full(120, 2.0),
-            np.array([3, 3, 3, 3, 2, 2, 0, 0, 0, 0], dtype=np.float64),
-            np.full(10, 10.0),
+            np.full(600, 2.0),
+            np.repeat([2.0, 4.0, 0.0], [40, 5, 5]),
+            np.full(100, 10.0),
         ))
-        assert np.mean(x[120:130] ** 2) == 1.10 * 4.0
-        assert span(x, frame_len=10, frame_shift=10) == (130, 140)
+        assert np.mean(x[550:650] ** 2) == 1.10 * 4.0
+        assert speech_span(x) == (600, 750)
 
     def test_all_zero_buffer(self):
         with pytest.raises(ValueError, match="no speech detected"):
-            span(np.zeros(400))
+            speech_span(np.zeros(400))
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="shorter than one frame"):
-            span(np.ones(50))
-
-    def test_flag_count_monotone_in_multiplier(self):
-        # a higher multiplier flags a subset of the speech frames, so the span nests
-        rng = np.random.default_rng(4)
-        x = rng.normal(0, 1, 3000) * np.repeat(rng.uniform(0.01, 1.0, 30), 100)
-        previous = (0, x.size)
-        for multiplier in (0.5, 1.0, 1.1, 2.0, 5.0):
-            try:
-                start, stop = span(x, silence_multiplier=multiplier)
-            except ValueError:
-                start, stop = previous[0], previous[0]
-            assert previous[0] <= start <= stop <= previous[1]
-            previous = (start, stop)
+            speech_span(np.ones(50))
 
 
 class TestTrimSilence:
@@ -146,7 +119,7 @@ class TestTrimSilence:
         # every frame past the quiet head has energy 5e5, beyond 1.10 * 4.25e5
         x = 1000.0 * np.sin(2 * np.pi * np.arange(1000) / 50)
         x[:100] = 0.0
-        assert span(x) == (100, 1000)
+        assert speech_span(x) == (100, 1000)
         out = preprocess_signal(SampleBuffer(x, 16000))
         np.testing.assert_array_equal(out.samples, normalize_peak(remove_dc(x))[100:])
         assert out.sample_rate_hz == 16000
@@ -155,44 +128,38 @@ class TestTrimSilence:
         # the silent gap between the two bursts stays, so no waveform is spliced
         x = np.concatenate((np.zeros(400), np.full(300, 1000.0), np.zeros(300),
                             np.full(300, 1000.0), np.zeros(400)))
-        assert span(x) == (350, 1350)  # speech plus one half-silent frame each side
+        assert speech_span(x) == (350, 1350)  # speech plus one half-silent frame each side
 
     def test_no_speech_rejected(self):
         # a flat signal: no frame is beyond 110% of the silence reference
         with pytest.raises(ValueError, match="no speech detected"):
-            span(np.full(500, 3.0))
+            speech_span(np.full(500, 3.0))
 
     def test_never_lengthens(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             x = rng.normal(0, 1, 700) * np.repeat(rng.uniform(0, 1, 7) ** 3, 100)
             try:
-                start, stop = span(x)
+                start, stop = speech_span(x)
             except ValueError:
                 continue
             assert 0 <= start < stop <= x.size
 
 
-class TestFramePlan:
-    """The frame pair, checked by PipelineConfig."""
+class TestPipelineConfig:
+    """The checks on the settings that remain: the rate and the pitch bounds."""
 
-    def test_shift_must_not_exceed_len(self):
-        with pytest.raises(ValueError, match="need frame_shift <= frame_len, got 100/50"):
-            PipelineConfig(frame_len=50, frame_shift=100)
-
-    def test_shift_positive(self):
-        with pytest.raises(ValueError, match="frame_shift must be finite and positive"):
-            PipelineConfig(frame_shift=0)
+    def test_rate_positive(self):
+        with pytest.raises(ValueError, match="sample_rate_hz must be finite and positive"):
+            PipelineConfig(sample_rate_hz=0)
 
     @pytest.mark.parametrize("field, value", [
-        ("sample_rate_hz", 16000.5), ("frame_len", 100.5), ("frame_shift", 50.5),
-        ("silence_frames", 2.5), ("frame_len", 100.0),  # a float index fails even when whole
+        ("sample_rate_hz", 16000.5), ("sample_rate_hz", 16000.0),  # a whole float fails too
     ])
     def test_integer_settings_refuse_floats(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             PipelineConfig(**{field: value})
 
     def test_integer_settings_take_numpy_integers(self):
-        config = PipelineConfig(frame_len=np.int64(80), silence_frames=np.int32(4))
-        assert (config.frame_len, config.silence_frames) == (80, 4)
+        assert PipelineConfig(sample_rate_hz=np.int64(8000)).sample_rate_hz == 8000
 
