@@ -6,7 +6,6 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, fields
-from functools import partial
 from pathlib import Path
 
 from . import features, preprocess, signal_io
@@ -21,13 +20,10 @@ from .pitch import (
 )
 from .signal_io import SampleBuffer
 
-# A pass gives each worker process at least this many files, or runs in this
-# process: forking and joining a pool of two takes 10-15 ms on a 2-CPU x86-64
-# host, the work of about 5 text files.
+# A pass gives each process at least this many files, or runs in this
+# process alone: forking and joining one child of a 110 MB process takes
+# about 4 ms on a 2-CPU x86-64 host, the work of one or two text files.
 MIN_FILES_PER_WORKER = 16
-# Files go to a worker this many at a time: the hand-off costs little next to
-# their work, and a Ctrl-C waits only for the few chunks already handed out.
-FILES_PER_CHUNK = 8
 
 
 class PipelineError(ValueError):
@@ -111,31 +107,6 @@ def _staged(path, config: PipelineConfig):
         return PipelineError(stage, str(exc)) if isinstance(exc, ValueError) else exc
 
 
-def _ignore_interrupts():
-    """A worker leaves Ctrl-C to the parent, which cancels what is queued."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-
-def _map_in_workers(fn, items, workers: int) -> list:
-    """fn of each item, in order, across `workers` forked processes that are
-    all joined before this returns, also when the pass fails or is
-    interrupted. A worker that dies, as one the OOM killer ends does, fails
-    the pass with a ChildProcessError."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    # forked, not spawned: a spawned pool of two starts in about 300 ms on the
-    # same host, as each worker imports numpy
-    context = multiprocessing.get_context("fork")
-    try:
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_ignore_interrupts) as pool:
-            # map cancels the chunks not yet handed out when its results raise
-            return list(pool.map(fn, items, chunksize=FILES_PER_CHUNK))
-    except BrokenProcessPool as exc:
-        raise ChildProcessError("a worker process died before the pass finished") from exc
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -143,21 +114,11 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def features_of_files(files, config: PipelineConfig = PipelineConfig()) -> list:
-    """UtteranceFeatures, or the PipelineError or OSError it fails with, for
-    each (path, vowel), in order. Each file goes alone as far as its temporal
-    features and cepstral lags, across the usable CPUs when the pass gives
-    each worker process MIN_FILES_PER_WORKER files; then the cepstral frames
-    of all are solved in one batch in this process."""
-    files = list(files)
-    paths = [path for path, _ in files]
-    workers = min(_usable_cpus(), len(paths) // MIN_FILES_PER_WORKER)
-    one_file = partial(_staged, config=config)
-    # a fork copies the locks other threads hold, so a threaded caller stays in-process
-    if workers > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        results = _map_in_workers(one_file, paths, workers)
-    else:
-        results = list(map(one_file, paths))
+def _features_of_share(files, config: PipelineConfig) -> list:
+    """features_of_files for one process: each file alone as far as its
+    temporal features and cepstral lags, then the cepstral frames of all
+    solved in one batch."""
+    results = [_staged(path, config) for path, _ in files]
     done = [i for i, result in enumerate(results) if isinstance(result, tuple)]
     for i, average in zip(done, features.average_cepstra([results[i][1] for i in done])):
         try:
@@ -167,6 +128,75 @@ def features_of_files(files, config: PipelineConfig = PipelineConfig()) -> list:
         except ValueError as exc:
             results[i] = PipelineError("features", str(exc))
     return results
+
+
+def _share_in_child(files, config: PipelineConfig, conn) -> None:
+    """A forked child's share, sent to the parent as (True, results) or as
+    (False, the exception computing them raised). Ctrl-C is left to the
+    parent, which kills its children."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        message = True, _features_of_share(files, config)
+    except Exception as exc:
+        message = False, exc
+    conn.send(message)
+
+
+def _split_across_processes(files, config: PipelineConfig, shares: int) -> list:
+    """features_of_files with share k of `shares` being files[k::shares]:
+    this process computes share 0 while one forked child computes each
+    other. Every child is joined before this returns; when the pass fails
+    or is interrupted, those still running are killed first. An exception
+    a child raises is raised here, and a child that dies, as one the OOM
+    killer ends does, fails the pass with a ChildProcessError."""
+    import multiprocessing
+
+    # forked, not spawned: a spawned child imports numpy, about 300 ms
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for k in range(1, shares):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_share_in_child, args=(files[k::shares], config, writer))
+            children.append((child, reader))
+            child.start()
+            writer.close()  # so the reader sees EOF if the child dies
+        results = [None] * len(files)
+        results[0::shares] = _features_of_share(files[0::shares], config)
+        for k, (_, reader) in enumerate(children, 1):
+            try:
+                ok, value = reader.recv()
+            except EOFError as exc:
+                raise ChildProcessError("a worker process died before the pass finished") from exc
+            if not ok:
+                raise value
+            results[k::shares] = value
+        return results
+    except BaseException:
+        for child, _ in children:
+            if child.pid is not None:
+                child.kill()
+        raise
+    finally:
+        for child, reader in children:
+            if child.pid is not None:
+                child.join()
+            reader.close()
+
+
+def features_of_files(files, config: PipelineConfig = PipelineConfig()) -> list:
+    """UtteranceFeatures, or the PipelineError or OSError it fails with, for
+    each (path, vowel), in order. Each file goes alone as far as its temporal
+    features and cepstral lags; then the cepstral frames of all are solved in
+    one batch. A pass that gives each usable CPU MIN_FILES_PER_WORKER files
+    is split by stride into one share per CPU, each computed that way in its
+    own process; batch rows are independent, so results are the same."""
+    files = list(files)
+    shares = min(_usable_cpus(), len(files) // MIN_FILES_PER_WORKER)
+    # a fork copies the locks other threads hold, so a threaded caller stays in-process
+    if shares > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        return _split_across_processes(files, config, shares)
+    return _features_of_share(files, config)
 
 
 def utterance_features_from_file(

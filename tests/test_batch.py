@@ -267,18 +267,37 @@ def outcome(result):
     return result.vector.tobytes()
 
 
-# the corpus file whose worker _staged_killing_its_worker kills
+# the corpus file whose process _staged_killing_its_worker kills
 KILLED_FILE = "s02_e_train01.txt"
 _real_staged = pipeline._staged
 
 
 def _staged_killing_its_worker(path, config):
-    """pipeline._staged, except that the worker handed KILLED_FILE dies as
-    one the OOM killer ends does. Module level, so a pool can pickle it."""
+    """pipeline._staged, except that the child handed KILLED_FILE dies as
+    one the OOM killer ends does."""
     if os.path.basename(path) == KILLED_FILE:
         assert multiprocessing.parent_process() is not None, "the test process would be killed"
         os.kill(os.getpid(), signal.SIGKILL)
     return _real_staged(path, config)
+
+
+# the file _staged_recording_its_process appends "pid path" lines to
+STAGED_LOG = None
+
+
+def _staged_recording_its_process(path, config):
+    """pipeline._staged, after appending which process took the file to
+    STAGED_LOG; each line is one small append, so processes do not interleave."""
+    with open(STAGED_LOG, "a") as fh:
+        fh.write(f"{os.getpid()} {path}\n")
+    return _real_staged(path, config)
+
+
+def assert_no_child_left():
+    """No child process of this one runs, and none is left unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -298,9 +317,9 @@ def counted_forks(monkeypatch):
 
 
 class TestWorkers:
-    """A pass of at least MIN_FILES_PER_WORKER files per worker runs in
-    forked worker processes; two usable CPUs are assumed, so the worker
-    path runs on any host."""
+    """A pass of at least MIN_FILES_PER_WORKER files per usable CPU is split
+    by stride between this process and one forked child per other CPU; two
+    usable CPUs are assumed, so the split runs on any host."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -328,8 +347,8 @@ class TestWorkers:
 
     def test_pass_equals_each_file_alone(self, mixed_pass, solo_outcomes, solo_vectors, counted_forks):
         results = features_of_files(f for f in mixed_pass)
-        assert len(counted_forks) == 2
-        assert multiprocessing.active_children() == []
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
         assert list(map(outcome, results)) == solo_outcomes
         for (path, _), result in zip(mixed_pass, results):
             if path in solo_vectors:
@@ -371,21 +390,60 @@ class TestWorkers:
         monkeypatch.setattr(pipeline, "detect_marks", no_memory)
         with pytest.raises(MemoryError, match="out of memory"):
             features_of_files(mixed_pass)
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
+
+    def test_child_exception_reaches_the_caller(self, mixed_pass, monkeypatch, counted_forks):
+        # raised only in the child, so this process's own share succeeds
+        real = pipeline.detect_marks
+        parent = os.getpid()
+
+        def no_memory_in_child(buffer, config):
+            if os.getpid() != parent:
+                raise MemoryError("out of memory in a child")
+            return real(buffer, config)
+
+        monkeypatch.setattr(pipeline, "detect_marks", no_memory_in_child)
+        with pytest.raises(MemoryError) as exc:
+            features_of_files(mixed_pass)
+        assert (type(exc.value), str(exc.value)) == (MemoryError, "out of memory in a child")
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
+
+    def test_uneven_strides_equal_each_file_alone(self, mixed_pass, solo_outcomes, monkeypatch, counted_forks):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 3)
+        assert len(mixed_pass) >= 3 * MIN_FILES_PER_WORKER and len(mixed_pass) % 3 != 0
+        results = features_of_files(mixed_pass)
         assert len(counted_forks) == 2
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+        assert list(map(outcome, results)) == solo_outcomes
+
+    def test_caller_computes_the_first_stride(self, mixed_pass, monkeypatch, counted_forks, tmp_path):
+        monkeypatch.setitem(globals(), "STAGED_LOG", tmp_path / "staged.log")
+        monkeypatch.setattr(pipeline, "_staged", _staged_recording_its_process)
+        features_of_files(mixed_pass)
+        assert_no_child_left()
+        (child,) = counted_forks
+        by_process = {os.getpid(): [], child: []}
+        for line in STAGED_LOG.read_text().splitlines():
+            pid, path = line.split(" ", 1)
+            by_process[int(pid)].append(path)
+        assert by_process[os.getpid()] == [str(path) for path, _ in mixed_pass[0::2]]
+        assert by_process[child] == [str(path) for path, _ in mixed_pass[1::2]]
 
     def test_dead_worker_is_a_data_error(self, mixed_pass, monkeypatch, counted_forks, tmp_path, capsys):
         monkeypatch.setattr(pipeline, "_staged", _staged_killing_its_worker)
-        assert KILLED_FILE in {os.path.basename(path) for path, _ in mixed_pass}
+        names = [os.path.basename(path) for path, _ in mixed_pass]
+        assert KILLED_FILE not in names[0::2] and KILLED_FILE in names, "the test process would be killed"
         with pytest.raises(ChildProcessError, match="a worker process died"):
             features_of_files(mixed_pass)
-        assert len(counted_forks) == 2
-        assert multiprocessing.active_children() == []
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
         # 2 speakers x 5 vowels x 4 train files: a pass of 40, KILLED_FILE among them
         manifest, _ = make_synthetic_corpus(tmp_path / "corpus", 2, 4, 0, seed=7)
         assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "models.bin")]) == 2
         assert capsys.readouterr().err.endswith("error: a worker process died before the pass finished\n")
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     def test_workers_leave_ctrl_c_to_the_parent(self, mixed_pass, solo_outcomes, monkeypatch, counted_forks):
         real = pipeline.detect_marks
@@ -401,10 +459,11 @@ class TestWorkers:
             results = features_of_files(mixed_pass)
         except KeyboardInterrupt:
             pytest.fail("a worker's Ctrl-C ended the pass")
-        assert len(counted_forks) == 2
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
         assert list(map(outcome, results)) == solo_outcomes
 
-    def test_interrupted_pass_joins_its_workers(self, mixed_pass, solo_vectors, monkeypatch, counted_forks, tmp_path):
+    def test_interrupted_pass_joins_its_workers(self, mixed_pass, monkeypatch, counted_forks, tmp_path):
         real = pipeline.detect_marks
         calls = tmp_path / "calls"
 
@@ -426,7 +485,7 @@ class TestWorkers:
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
-        assert len(counted_forks) == 2
-        assert multiprocessing.active_children() == []
-        # the chunks still queued were cancelled
-        assert len(calls.read_text()) < len(solo_vectors)
+        assert len(counted_forks) == pipeline._usable_cpus() - 1
+        assert_no_child_left()
+        # the child was killed before it finished its share
+        assert len(calls.read_text()) < len(mixed_pass[1::2])
