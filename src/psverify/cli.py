@@ -10,7 +10,6 @@ import dataclasses
 import itertools
 import logging
 import sys
-from pathlib import Path
 
 from . import evaluation, modeling, pipeline, signal_io
 from .decision import (
@@ -27,10 +26,8 @@ from .features import VOWELS
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(pipeline.PipelineConfig)}
+_CONFIG_FIELDS = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
 _WEIGHT_FIELDS = [f.name for f in dataclasses.fields(DistanceWeights)]
-# every key a config file may hold, with the type its value is read as
-_CONFIG_KEYS = _CONFIG_FIELDS | dict.fromkeys(_WEIGHT_FIELDS, str)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,24 +36,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_ERROR)
-
-
-def _parse_config_file(path) -> dict:
-    values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = (part.strip() for part in line.partition("="))
-        try:
-            if not eq:
-                raise ValueError("expected key=value")
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"unknown key {key!r}")
-            values[key] = _CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
-    return values
 
 
 def _parse_formants(text):
@@ -81,7 +60,6 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
         return parents[-1].add_argument_group(title)
 
     g = group("signal options")
-    g.add_argument("--config", metavar="FILE", help="key=value config file; flags win")
     g.add_argument("--sample-rate", dest="sample_rate_hz", type=int, metavar="HZ",
                    help=f"rate for text inputs (default {d.sample_rate_hz})")
     g = group("pitch options")
@@ -279,13 +257,11 @@ def parse_and_dispatch(argv) -> int:
         return USAGE_ERROR
     try:
         # every setting is read and checked here, before a handler opens a file
-        values = _parse_config_file(args.config) if args.config else {}
-        values |= {k: v for k, v in vars(args).items() if k in _CONFIG_KEYS and v is not None}
+        values = {k: v for k, v in vars(args).items() if v is not None}
         cfg = pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
         # a weight list is numbers split by commas or whitespace; DistanceWeights checks the count
-        weights = DistanceWeights(**{
-            k: [float(p) for p in values[k].replace(",", " ").split()] for k in _WEIGHT_FIELDS if k in values
-        })
+        weights = DistanceWeights(**{k: [float(p) for p in values[k].replace(",", " ").split()]
+                                     for k in _WEIGHT_FIELDS if k in values})
         return args.handler(args, cfg, weights)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,7 @@ combined system, with accuracy computed on accepted trials.
 """
 
 import csv
+import io
 import logging
 from dataclasses import dataclass, field
 from operator import attrgetter
@@ -18,13 +19,14 @@ from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
 from .modeling import ModelSet, build_model, speaker_id_error
 from .pipeline import PipelineConfig, features_of_files
-from .signal_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, write_text_samples
+from .signal_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, read_utf8_text, write_text_samples
 
 log = logging.getLogger(__name__)
 
 SYSTEM_CEPSTRAL = "cepstral"
 SYSTEM_TEMPORAL = "temporal"
 SYSTEM_COMBINED = "combined"
+MANIFEST_COLUMNS = ("path", "speaker_id", "vowel", "split")
 
 # average male formant targets (centre Hz, bandwidth Hz) per vowel
 VOWEL_FORMANTS = {
@@ -137,16 +139,20 @@ UTTERANCE_F0_SPREAD = 0.02
 UTTERANCE_FORMANT_SPREAD = 0.03
 
 
-def _check_sizes(duration_s: float, silence_pad_s: float) -> None:
+def _check_sizes(duration_s: float, silence_pad_s: float, sample_rate_hz: int) -> None:
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 <= silence_pad_s < np.inf:
         raise ValueError(f"silence_pad_s must be finite and non-negative, got {silence_pad_s}")
+    for name, seconds in (("duration_s", duration_s), ("silence_pad_s", silence_pad_s)):
+        if seconds * sample_rate_hz == np.inf:
+            raise ValueError(f"{name} {seconds} s overflows a sample count at {sample_rate_hz} Hz")
 
 
 def _check_voice(f0_hz: float, formants, sample_rate_hz: int) -> tuple:
     """The formants as a tuple, once the f0 and every formant fit the rate."""
-    if not 0 < f0_hz < sample_rate_hz / 2:
+    # the period, round(rate / f0) samples, must be a count an int64 holds
+    if not 0 < f0_hz < sample_rate_hz / 2 or not sample_rate_hz / f0_hz < 2**63:
         raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
     formants = tuple(formants)
     if len(formants) > 3:
@@ -180,7 +186,7 @@ def synth_vowel(
     # imported here: scipy.signal alone takes most of a cold `import psverify.cli`
     from scipy.signal import lfilter
 
-    _check_sizes(duration_s, silence_pad_s)
+    _check_sizes(duration_s, silence_pad_s, sample_rate_hz)
     formants = _check_voice(f0_hz, formants, sample_rate_hz)
     period = int(round(sample_rate_hz / f0_hz))
     n = int(round(duration_s * sample_rate_hz))
@@ -223,7 +229,7 @@ def make_synthetic_corpus(
         raise ValueError("need at least two speakers")
     if train_per_vowel < 1 or test_per_vowel < 0:
         raise ValueError("invalid utterance counts")
-    _check_sizes(duration_s, silence_pad_s)
+    _check_sizes(duration_s, silence_pad_s, sample_rate_hz)
     rng = np.random.default_rng(seed)
     f0s = np.linspace(95.0, 250.0, n_speakers) + rng.uniform(-2.0, 2.0, n_speakers)
     scales = np.linspace(0.88, 1.12, n_speakers)
@@ -260,33 +266,29 @@ def make_synthetic_corpus(
 def write_manifest(entries, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["path", "speaker_id", "vowel", "split"])
-        for e in entries:
-            writer.writerow([e.path, e.speaker_id, e.vowel, e.split])
+        writer.writerow(MANIFEST_COLUMNS)
+        writer.writerows([e.path, e.speaker_id, e.vowel, e.split] for e in entries)
 
 
 def load_manifest(path) -> list[ManifestEntry]:
-    """Read the CSV manifest; relative paths resolve against its directory."""
+    """Read the UTF-8 CSV manifest; relative paths resolve against its
+    directory. A malformed row is a ValueError that names the path and line."""
     path = Path(path)
+    reader = csv.DictReader(io.StringIO(read_utf8_text(path), newline=""))
     entries = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        required = {"path", "speaker_id", "vowel", "split"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"{path}: manifest needs columns {sorted(required)}")
-        for lineno, row in enumerate(reader, 2):
-            try:
-                if not row["path"]:
-                    raise ValueError("empty path")
-                entry = ManifestEntry(
-                    str(path.parent / row["path"]),
-                    row["speaker_id"],
-                    row["vowel"],
-                    row["split"],
-                )
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            entries.append(entry)
+    try:
+        if not set(MANIFEST_COLUMNS).issubset(reader.fieldnames or ()):
+            raise ValueError(f"manifest needs columns {sorted(MANIFEST_COLUMNS)}")
+        for row in reader:
+            cells = [row[column] for column in MANIFEST_COLUMNS]
+            if None in cells:  # the row ended early
+                raise ValueError(f"no {MANIFEST_COLUMNS[cells.index(None)]} cell")
+            if not cells[0]:
+                raise ValueError("empty path")
+            entries.append(ManifestEntry(str(path.parent / cells[0]), *cells[1:]))
+    except (ValueError, csv.Error) as exc:
+        # the inner reader's count: DictReader updates its own only once a row parses
+        raise ValueError(f"{path}: line {reader.reader.line_num or 1}: {exc}") from None
     if not entries:
         raise ValueError(f"{path}: empty manifest")
     return entries

@@ -4,6 +4,7 @@ import math
 import numbers
 import os
 import signal
+import sys
 import threading
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -48,8 +49,9 @@ class PipelineConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{field.name} must be finite and positive")
+            # an int past the largest float is finite, but no division by it is
+            if not 0 < value <= sys.float_info.max:
+                raise ValueError(f"{field.name} must be finite and positive, at most {sys.float_info.max:g}")
             if field.type is int and not isinstance(value, numbers.Integral):
                 raise ValueError(f"{field.name} must be an integer, got {value!r}")
         if self.min_f0_hz >= self.max_f0_hz:
@@ -60,9 +62,9 @@ class PipelineConfig:
         """(min_period, max_period) in samples at this rate, which must exceed 2 * min_f0_hz."""
         if self.min_f0_hz >= sample_rate_hz / 2:
             raise ValueError(f"need min_f0_hz < sample_rate_hz / 2, got {self.min_f0_hz:g}/{sample_rate_hz}")
-        min_period = max(2, math.floor(sample_rate_hz / self.max_f0_hz))
-        max_period = math.ceil(sample_rate_hz / self.min_f0_hz)
-        return min_period, max_period
+        if sample_rate_hz / self.min_f0_hz == math.inf:
+            raise ValueError(f"need sample_rate_hz / min_f0_hz finite, got {sample_rate_hz}/{self.min_f0_hz:g}")
+        return max(2, math.floor(sample_rate_hz / self.max_f0_hz)), math.ceil(sample_rate_hz / self.min_f0_hz)
 
 
 def load_signal(path, config: PipelineConfig = PipelineConfig()) -> SampleBuffer:

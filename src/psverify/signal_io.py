@@ -38,6 +38,14 @@ def _named_buffer(path, samples, sample_rate_hz) -> SampleBuffer:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def read_utf8_text(path) -> str:
+    """A UTF-8 file's text less any byte-order mark; bad bytes are a ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuffer:
     """Read a one-number-per-line text signal (the Cool Edit export format).
 
@@ -47,10 +55,7 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
     the sample rate is supplied by the caller.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8-sig").splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    lines = read_utf8_text(path).splitlines()
     try:
         arr = np.array(lines, dtype=np.float64)
     except ValueError:

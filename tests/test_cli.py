@@ -60,7 +60,7 @@ class TestParsing:
         assert exc.value.code == 1
 
 
-SIGNAL = {"--config", "--sample-rate"}
+SIGNAL = {"--sample-rate"}
 PITCH = {"--min-f0", "--max-f0"}
 WEIGHTS = {"--cepstral-weights", "--temporal-weights"}
 SETTINGS = SIGNAL | PITCH | WEIGHTS
@@ -110,19 +110,22 @@ class TestSettingsSurface:
     def test_every_parser_is_listed(self):
         assert [name for name, _ in _sub_parsers(cli.build_parser())] == list(SETTINGS_BY_PARSER)
         assert list(OWN_OPTIONS) == list(SETTINGS_BY_PARSER)
-        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 36
+        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 27
 
-    def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys):
-        config = tmp_path / "psv.cfg"
-        config.write_text("# shared by every command\ntemporal_weights=1,1,1,1\nmin_f0_hz=60\n")
-        out = tmp_path / "pre.txt"
-        # keys a command does not read are allowed
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 0
-        config.write_text("min_f0_hz=60\nmin_f0=300\n")
-        assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
-        captured = capsys.readouterr()
-        assert f"{config}: line 2: unknown key 'min_f0'" in captured.err
-        assert captured.out == ""
+    def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys, monkeypatch):
+        # settings come from flags alone: --config is a usage error that reads and writes nothing
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        monkeypatch.setattr(cli.pipeline, "load_signal", lambda *a: opened.append(a))
+        for argv in (["preprocess", str(vowel_file), "pre.txt"], ["features", str(vowel_file)]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--config", "psv.cfg"])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --config psv.cfg" in captured.err
+            assert captured.out == ""
+        assert opened == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_pitch_bounds_refused_before_any_file(self, enrolled, small_corpus, tmp_path, capsys):
         models_path, _ = enrolled
@@ -140,7 +143,7 @@ class TestSettingsSurface:
         ["enroll", "--manifest", "m.csv", "--out", "m.txt", "--cepstral-weights", "1,2"],
         ["synth", "--sample-rate", "8000", "vowel", "--out", "v.txt", "--f0", "120",
          "--duration", "0.1", "--silence-pad", "0"],
-        ["synth", "--config", "none.cfg", "vowel", "--out", "v.txt", "--f0", "120"],
+        ["synth", "vowel", "--out", "v.txt", "--f0", "120", "--max-f0", "300"],
         ["preprocess", "in.txt", "out.txt", "--max-f0", "300"],
     ])
     def test_setting_a_command_does_not_read_is_usage_error(self, argv, tmp_path, monkeypatch):
@@ -151,8 +154,8 @@ class TestSettingsSurface:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("flag", [
-        ["--sample-rate", "8000"], ["--config=none.cfg"], ["--min-f0", "60"],
-        ["--sample", "8000"], ["--conf=x"],  # prefixes argparse would take
+        ["--sample-rate", "8000"], ["--max-f0=300"], ["--min-f0", "60"],
+        ["--sample", "8000"], ["--temp=1"],  # prefixes argparse would take
     ])
     def test_setting_before_synth_command_says_where_it_goes(self, flag, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -173,7 +176,7 @@ class TestSignalCommands:
         buf = load_text_samples(out)
         assert np.abs(buf.samples).max() == pytest.approx(10000.0, rel=1e-6)
 
-    def test_pitch_marks_config_file_and_flag_precedence(self, vowel_file, tmp_path, capsys):
+    def test_pitch_marks_config_file_and_flag_precedence(self, vowel_file, capsys):
         # near the vowel's 140 Hz, the highest admissible F0 moves its marks
         def marks(max_f0_hz):
             cfg = PipelineConfig(max_f0_hz=max_f0_hz)
@@ -185,33 +188,17 @@ class TestSignalCommands:
             return [int(line) for line in capsys.readouterr().out.splitlines()[1:]]
 
         assert marks(500.0) != marks(150.0) != marks(130.0) != marks(500.0)
-        config = tmp_path / "psv.cfg"
-        config.write_text("max_f0_hz=150\n")
-        assert printed_marks("--config", str(config)) == marks(150.0)
-        assert printed_marks("--config", str(config), "--max-f0", "130") == marks(130.0)
-
-    def test_config_file_with_utf8_bom(self, vowel_file, tmp_path, capsys):
-        # editors such as Notepad start a UTF-8 file with a byte-order mark
-        config = tmp_path / "psv.cfg"
-        config.write_text("max_f0_hz=150\n", encoding="utf-8-sig")
-        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
-        assert cli.main(["pitch-marks", str(vowel_file), "--config", str(config)]) == 0
-        from_config = capsys.readouterr().out
-        assert cli.main(["pitch-marks", str(vowel_file), "--max-f0", "150"]) == 0
-        assert capsys.readouterr().out == from_config
-        assert cli.main(["pitch-marks", str(vowel_file)]) == 0
-        assert capsys.readouterr().out != from_config
+        assert printed_marks() == marks(500.0)
+        assert printed_marks("--max-f0", "150") == marks(150.0)
+        assert printed_marks("--max-f0", "130") == marks(130.0)
 
     def test_normalization_target_is_gone(self, vowel_file, tmp_path, capsys):
-        # the peak is the fixed 10,000: the flag is a usage error, the key a data error
+        # the peak is the fixed 10,000: the flag is a usage error
         out = tmp_path / "pre.txt"
         with pytest.raises(SystemExit) as exc:
             cli.main(["preprocess", str(vowel_file), str(out), "--normalization-target", "5000"])
         assert exc.value.code == 1
-        config = tmp_path / "psv.cfg"
-        config.write_text("normalization_target=10000\n")
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 2
-        assert f"{config}: line 1: unknown key 'normalization_target'" in capsys.readouterr().err
+        assert "unrecognized arguments: --normalization-target" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--frame-len", "--frame-shift", "--silence-frames", "--silence-multiplier"])
@@ -221,14 +208,6 @@ class TestSignalCommands:
         with pytest.raises(SystemExit) as exc:
             cli.main(["preprocess", str(vowel_file), str(out), flag, "10"])
         assert exc.value.code == 1
-        assert not out.exists()
-
-    def test_trimming_config_key_is_unknown(self, vowel_file, tmp_path, capsys):
-        config = tmp_path / "psv.cfg"
-        config.write_text("max_f0_hz=500\nframe_len=100\n")
-        out = tmp_path / "pre.txt"
-        assert cli.main(["preprocess", str(vowel_file), str(out), "--config", str(config)]) == 2
-        assert f"{config}: line 2: unknown key 'frame_len'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_pitch_marks_output(self, vowel_file, capsys):
@@ -345,7 +324,7 @@ class TestRecognitionCommands:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {v1}: not a 'PSV-MODELS v2' model file; run enroll")
 
-    def test_config_file_weights(self, enrolled, tmp_path, capsys, monkeypatch):
+    def test_config_file_weights(self, enrolled, capsys):
         models_path, entries = enrolled
         train = next(e for e in entries if e.split == "train")
         argv = ["identify", train.path, "--models", str(models_path), "--vowel", train.vowel]
@@ -358,20 +337,14 @@ class TestRecognitionCommands:
         assert cli.main(argv) == 0
         plain = temporal_column()
         assert len(plain) == 3
-        config = tmp_path / "weights.cfg"
-        config.write_text("temporal_weights=2,2,2,2\n")
-        reads = []
-        parse = cli._parse_config_file
-        monkeypatch.setattr(cli, "_parse_config_file", lambda path: reads.append(path) or parse(path))
-        assert cli.main(argv + ["--config", str(config)]) == 0
-        assert reads == [str(config)]
+        # the weight flags are the only way to set the weights
+        assert cli.main(argv + ["--temporal-weights", "2,2,2,2"]) == 0
         doubled = temporal_column()
         assert doubled.keys() == plain.keys()
         for sid, value in plain.items():
             assert doubled[sid] == pytest.approx(2.0 * value, rel=1e-5)
 
-        config.write_text("cepstral_weights=" + ",".join(["1"] * 11) + "\n")
-        assert cli.main(argv + ["--config", str(config)]) == 2
+        assert cli.main(argv + ["--cepstral-weights", ",".join(["1"] * 11)]) == 2
         assert "cepstral_weights needs 12 values, got 11" in capsys.readouterr().err
 
     def test_nan_weights_are_data_error(self, enrolled, capsys):
@@ -430,13 +403,26 @@ class TestNonFiniteSettings:
         with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
             PipelineConfig(**{field: bad})
 
-    def test_flag_and_config_file_refuse_non_finite(self, vowel_file, tmp_path, capsys):
+    def test_flag_and_config_file_refuse_non_finite(self, vowel_file, capsys):
+        # the flags are the only way in
         assert cli.main(["features", str(vowel_file), "--max-f0", "inf"]) == 2
         assert "max_f0_hz must be finite and positive" in capsys.readouterr().err
-        config = tmp_path / "psv.cfg"
-        config.write_text("min_f0_hz=nan\n")
-        assert cli.main(["features", str(vowel_file), "--config", str(config)]) == 2
+        assert cli.main(["features", str(vowel_file), "--min-f0", "nan"]) == 2
         assert "min_f0_hz must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, message", [
+        (["--min-f0", "1e-320"], "need sample_rate_hz / min_f0_hz finite, got 16000/9.99989e-321"),
+        (["--sample-rate", "1" + "0" * 400], "sample_rate_hz must be finite and positive, at most 1.79769e+308"),
+        (["--sample-rate", str(10**308), "--min-f0", "0.5"],
+         "need sample_rate_hz / min_f0_hz finite, got 1" + "0" * 308 + "/0.5"),
+    ], ids=["min-f0", "sample-rate", "rate-over-min-f0"])
+    def test_overflowing_setting_is_data_error(self, settings, message, tmp_path, capsys):
+        # refused before the (missing) input file is read
+        missing = tmp_path / "missing.txt"
+        assert cli.main(["features", str(missing), *settings]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "missing.txt" not in err
 
     def test_min_f0_at_nyquist_is_data_error(self, tmp_path, capsys):
         # at min_f0 >= rate/2 the period bounds collapse to 2/2; refused before
@@ -501,6 +487,12 @@ class TestSynthCommand:
         (["corpus", "--silence-pad", "nan"], "silence_pad_s must be finite and non-negative, got nan"),
         (["corpus", "--sample-rate", "5000", "--speakers", "2", "--train", "1", "--test", "0"],
          "formant centre 2639.5566944647185 Hz beyond Nyquist"),
+        # sizes whose sample counts overflow
+        (["vowel", "--f0", "1e-320"], "f0 1e-320 Hz out of range for rate 16000"),
+        (["vowel", "--duration", "1e308"], "duration_s 1e+308 s overflows a sample count at 16000 Hz"),
+        (["vowel", "--silence-pad", "1e308"], "silence_pad_s 1e+308 s overflows a sample count at 16000 Hz"),
+        (["corpus", "--duration", "1e308"], "duration_s 1e+308 s overflows a sample count at 16000 Hz"),
+        (["corpus", "--silence-pad", "1e308"], "silence_pad_s 1e+308 s overflows a sample count at 16000 Hz"),
     ])
     def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -144,6 +144,26 @@ class TestManifest:
         with pytest.raises(ValueError, match="manifest.csv: line 3: empty path"):
             load_manifest(p)
 
+    @pytest.mark.parametrize("row, message", [
+        ("x.txt", "line 2: no speaker_id cell"),
+        ("x.txt,s01", "line 2: no vowel cell"),
+        ('x.txt,"s01,a,train', "line 2: no vowel cell"),  # the quote is never closed
+        ("x" * 140_000 + ",s01,a,train", "line 2: field larger than field limit (131072)"),
+    ], ids=["one-cell", "two-cells", "open-quote", "long-field"])
+    def test_malformed_row_reports_line(self, row, message, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_text(f"path,speaker_id,vowel,split\n{row}\n")
+        with pytest.raises(ValueError) as refused:
+            load_manifest(p)
+        assert str(refused.value) == f"{p}: {message}"
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "manifest.csv"
+        p.write_bytes(b"path,speaker_id,vowel,split\nx\xff.txt,s01,a,train\n")
+        with pytest.raises(ValueError) as refused:
+            load_manifest(p)
+        assert str(refused.value) == f"{p}: not UTF-8 text: invalid start byte at byte 29"
+
     def test_utf8_bom_accepted(self, tmp_path):
         # spreadsheet exports start a UTF-8 CSV with a byte-order mark
         p = tmp_path / "manifest.csv"

@@ -1,6 +1,6 @@
 """Property tests: the vectorized stages against loop oracles, the
-pipeline, the text loader and the model file on arbitrary input, and the
-array-backed distance report against plain dicts."""
+pipeline, the settings, the text loader, the manifest and the model file on
+arbitrary input, and the array-backed distance report against plain dicts."""
 
 import itertools
 
@@ -34,7 +34,7 @@ from psverify.features import (
     pitch_synchronous_cepstra,
     temporal_features,
 )
-from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
+from psverify.evaluation import VOWEL_FORMANTS, load_manifest, synth_vowel
 from psverify.modeling import ModelSet, SpeakerModel, load_models, save_models, speaker_id_error
 from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
 from psverify.pitch import extract_half_peaks
@@ -201,6 +201,22 @@ def test_marks_increase_within_period_bounds(x):
     assert np.all((gaps >= min_period) & (gaps <= max_period)), gaps
 
 
+@PROPERTY
+@given(
+    st.one_of(st.integers(min_value=1), st.integers(300, 400).map(lambda e: 10**e)),
+    st.floats(),
+    st.floats(),
+)
+def test_settings_give_int_period_bounds_or_value_error(sample_rate_hz, min_f0_hz, max_f0_hz):
+    try:
+        config = PipelineConfig(sample_rate_hz=sample_rate_hz, min_f0_hz=min_f0_hz, max_f0_hz=max_f0_hz)
+    except ValueError:
+        return
+    min_period, max_period = config.period_bounds(sample_rate_hz)
+    assert type(min_period) is int and type(max_period) is int
+    assert 2 <= min_period <= max_period
+
+
 TEXT_TOKENS = [
     b"0", b"1", b"-2.5", b"+.5e3", b"1e308", b"1e999", b"-inf", b"nan", b"0x1p3", b"1_0",
     b"2 3", b"x", b" ", b"\t", b"\n", b"\r\n", b"\r", b"\x00", b"\xef\xbb\xbf", b"\xc2\x85",
@@ -227,6 +243,30 @@ def test_text_loader_gives_finite_samples_or_value_error(text_path, data):
         return
     assert buffer.samples.size > 0
     assert np.all(np.isfinite(buffer.samples))
+
+
+MANIFEST_TOKENS = [
+    b"path,speaker_id,vowel,split\n", b"path", b"speaker_id", b"vowel", b"split", b"x.txt", b"s01",
+    b"a", b"u", b"train", b"test", b",", b'"', b"\n", b"\r\n", b"\r", b" ", b"\x00", b"\xef\xbb\xbf",
+    b"\xc2\x85", b"\xff",
+]
+manifest_files = st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.sampled_from(MANIFEST_TOKENS), max_size=40).map(b"".join),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(data=manifest_files)
+def test_manifest_gives_entries_or_value_error_naming_the_path(text_path, data):
+    text_path.write_bytes(data)
+    try:
+        entries = load_manifest(text_path)
+    except ValueError as refused:
+        assert str(refused).startswith(f"{text_path}: ")
+        return
+    assert entries
+    assert all(speaker_id_error(e.speaker_id) is None and e.vowel in VOWELS for e in entries)
 
 
 # text signals: numbers as the writer and other tools print them, among
