@@ -49,6 +49,17 @@ def _parse_formants(text):
     return tuple(formants)
 
 
+def _seed(text):
+    """A --seed value: numpy's generators take only non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _setting_groups() -> list[argparse.ArgumentParser]:
     """Parent parsers for the signal, pitch and weight settings; a command
     that reads one group reads all before it, so takes a prefix."""
@@ -131,13 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--formants", metavar="F1:B1,F2:B2,..", help="override the formant table")
     v.add_argument("--duration", type=float, default=0.5)
     v.add_argument("--silence-pad", type=float, default=0.05)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--seed", type=_seed, default=0)
     c = command(synth_sub, "corpus", _cmd_synth_corpus, 1, "labeled multi-speaker corpus")
     c.add_argument("--out", required=True, metavar="DIR")
     c.add_argument("--speakers", type=int, default=10)
     c.add_argument("--train", type=int, default=20, help="train utterances per vowel")
     c.add_argument("--test", type=int, default=5, help="test utterances per vowel")
-    c.add_argument("--seed", type=int, default=12345)
+    c.add_argument("--seed", type=_seed, default=12345)
     c.add_argument("--duration", type=float, default=0.35)
     c.add_argument("--silence-pad", type=float, default=0.04)
     return parser

@@ -149,11 +149,15 @@ def _check_sizes(duration_s: float, silence_pad_s: float, sample_rate_hz: int) -
             raise ValueError(f"{name} {seconds} s overflows a sample count at {sample_rate_hz} Hz")
 
 
-def _check_voice(f0_hz: float, formants, sample_rate_hz: int) -> tuple:
-    """The formants as a tuple, once the f0 and every formant fit the rate."""
+def _check_voice(f0_hz: float, formants, sample_rate_hz: int, duration_s: float) -> tuple:
+    """The formants as a tuple, once the f0 and every formant fit the rate
+    and a whole period fits the voiced part."""
     # the period, round(rate / f0) samples, must be a count an int64 holds
     if not 0 < f0_hz < sample_rate_hz / 2 or not sample_rate_hz / f0_hz < 2**63:
         raise ValueError(f"f0 {f0_hz} Hz out of range for rate {sample_rate_hz}")
+    period, voiced = round(sample_rate_hz / f0_hz), round(duration_s * sample_rate_hz)
+    if period > voiced:  # no impulse would land in the voiced part
+        raise ValueError(f"f0 {f0_hz} Hz: a period of {period} samples exceeds the {voiced} voiced samples")
     formants = tuple(formants)
     if len(formants) > 3:
         raise ValueError("at most three formants")
@@ -187,7 +191,7 @@ def synth_vowel(
     from scipy.signal import lfilter
 
     _check_sizes(duration_s, silence_pad_s, sample_rate_hz)
-    formants = _check_voice(f0_hz, formants, sample_rate_hz)
+    formants = _check_voice(f0_hz, formants, sample_rate_hz, duration_s)
     period = int(round(sample_rate_hz / f0_hz))
     n = int(round(duration_s * sample_rate_hz))
     warmup = int(round(WARMUP_S * sample_rate_hz))
@@ -248,7 +252,7 @@ def make_synthetic_corpus(
                 )
                 utt_seed = int(rng.integers(0, 2**31))
                 entry = ManifestEntry(f"{sid}_{vowel}_{split}{u:02d}.txt", sid, vowel, split)
-                plan.append((entry, f0, _check_voice(f0, formants, sample_rate_hz), utt_seed))
+                plan.append((entry, f0, _check_voice(f0, formants, sample_rate_hz, duration_s), utt_seed))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for entry, f0, formants, utt_seed in plan:
@@ -280,6 +284,9 @@ def load_manifest(path) -> list[ManifestEntry]:
         if not set(MANIFEST_COLUMNS).issubset(reader.fieldnames or ()):
             raise ValueError(f"manifest needs columns {sorted(MANIFEST_COLUMNS)}")
         for row in reader:
+            if None in row:  # DictReader's key for the cells past the header's
+                header = len(reader.fieldnames)
+                raise ValueError(f"{header + len(row[None])} cells, the header has {header}")
             cells = [row[column] for column in MANIFEST_COLUMNS]
             if None in cells:  # the row ended early
                 raise ValueError(f"no {MANIFEST_COLUMNS[cells.index(None)]} cell")

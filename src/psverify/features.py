@@ -140,41 +140,53 @@ def autocorrelation(frame, max_lag: int = LPC_ORDER) -> np.ndarray:
     return r
 
 
-@np.errstate(all="ignore")  # a reflection may overflow before its check
+@np.errstate(all="ignore")  # a failed row runs on into inf and nan
 def _levinson_batch(r):
     """Levinson-Durbin on each row of r (F frames x order+1 lags) at once.
 
     Every sum is accumulated left to right, as a scalar loop over one frame
-    would, so each row rounds exactly as if it were solved alone. A failing
-    row goes on with R[0] or residual 1, or reflection 0, in place of the
-    failed value; `failures` lists (rows, reason) in the order a solo solve
-    checks, so its first entry for a row is the error that row raises alone.
+    would, so each row rounds exactly as if it were solved alone. The rows
+    are checked once, after the recursion: a row keeps its solo values up
+    to its first failed check (`first`, see _first_failed_checks), which
+    therefore fails as it would alone. A failed row's coefficients are zeroed.
     """
     frames, order = r.shape[0], r.shape[1] - 1
     a = np.zeros((frames, order))
     k = np.empty((frames, order))
     err = np.empty((frames, order + 1))
-    failures = []
-
-    def fail(rows, reason, values, fill):
-        if rows.any():
-            failures.append((rows, f"ill-conditioned autocorrelation: {reason}"))
-            values[rows] = fill
-
     err[:, 0] = r[:, 0]
-    fail(err[:, 0] <= 0.0, "R[0] <= 0", err[:, 0], 1.0)
     terms = np.zeros((frames, order))  # column 0 stays 0.0, where each sum starts
     for i in range(1, order + 1):
         e_prev = err[:, i - 1]
-        fail(e_prev <= 0.0, "vanishing residual", e_prev, 1.0)
         np.multiply(a[:, : i - 1], r[:, i - 1 : 0 : -1], out=terms[:, 1:i])
         ki = (r[:, i] - terms[:, :i].cumsum(axis=1)[:, -1]) / e_prev
-        fail(np.abs(ki) >= 1.0, "|reflection| >= 1", ki, 0.0)
         a[:, : i - 1] -= ki[:, None] * a[:, : i - 1][:, ::-1]
         a[:, i - 1] = ki
         k[:, i - 1] = ki
         err[:, i] = (1.0 - ki * ki) * e_prev
-    return a, k, err, failures
+    first = _first_failed_checks(err, k)
+    a[first <= 2 * order] = 0.0
+    return a, k, err, first
+
+
+def _first_failed_checks(err, k) -> np.ndarray:
+    """Each row's first failed check, in the order a solo solve makes them:
+    check 0 is R[0] > 0, checks 2i - 1 and 2i the residual and the
+    reflection of step i; 2 * order + 1 if every check passed."""
+    failed = np.empty((k.shape[0], 2 * k.shape[1] + 1), dtype=bool)
+    failed[:, 0] = err[:, 0] <= 0.0
+    failed[:, 1::2] = err[:, :-1] <= 0.0
+    failed[:, 2::2] = np.abs(k) >= 1.0
+    return np.where(failed.any(axis=1), failed.argmax(axis=1), failed.shape[1])
+
+
+def _check_error(check, order: int) -> ValueError | None:
+    """The error of failed check `check` of an order-`order` solve, or None
+    for 2 * order + 1, past the last check."""
+    if check > 2 * order:
+        return None
+    reason = "R[0] <= 0" if check == 0 else ("vanishing residual", "|reflection| >= 1")[(check + 1) % 2]
+    return ValueError(f"ill-conditioned autocorrelation: {reason}")
 
 
 def levinson_durbin(r, order: int | None = None):
@@ -196,9 +208,10 @@ def levinson_durbin(r, order: int | None = None):
         order = r.size - 1
     if r.size < order + 1:
         raise ValueError(f"need {order + 1} autocorrelation lags, got {r.size}")
-    a, k, err, failures = _levinson_batch(r[None, : order + 1])
-    if failures:
-        raise ValueError(failures[0][1])
+    a, k, err, first = _levinson_batch(r[None, : order + 1])
+    error = _check_error(first[0], order)
+    if error is not None:
+        raise error
     return a[0], k[0], err[0]
 
 
@@ -249,15 +262,15 @@ def average_cepstra(lag_matrices) -> list:
     solving it alone raises. One Levinson-Durbin and one cepstral batch solve
     every frame; rows are independent and each matrix's frames are summed in
     order, so each average is bit-identical to a solo solve."""
-    a, _, _, failures = _levinson_batch(np.concatenate([np.empty((0, LPC_ORDER + 1)), *lag_matrices]))
+    a, _, _, first = _levinson_batch(np.concatenate([np.empty((0, LPC_ORDER + 1)), *lag_matrices]))
     cepstra, averages, stop = _cepstra_batch(a), [], 0
     for lags in lag_matrices:
         start, stop = stop, stop + len(lags)
-        reason = next((reason for rows, reason in failures if rows[start:stop].any()), None)
+        error = _check_error(first[start:stop].min(initial=2 * LPC_ORDER + 1), LPC_ORDER)
         acc = np.zeros(LPC_ORDER)
         for c in cepstra[start:stop]:  # frames summed in order
             acc += c
-        averages.append(ValueError(reason) if reason else acc / len(lags))
+        averages.append(acc / len(lags) if error is None else error)
     return averages
 
 

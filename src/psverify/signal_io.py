@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 
 DEFAULT_SAMPLE_RATE_HZ = 16000
+# suffixes whose files np.loadtxt decompresses rather than reads as text
+_NUMPY_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,24 +55,36 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
     ignored; anything else that does not parse as a decimal number is
     reported with its 1-based line number. The format carries no header, so
     the sample rate is supplied by the caller.
+
+    numpy's C reader parses the file; whatever it refuses or reads as more
+    than one column is parsed again line by line, for the diagnostic.
     """
     path = Path(path)
-    lines = read_utf8_text(path).splitlines()
-    try:
-        arr = np.array(lines, dtype=np.float64)
-    except ValueError:
-        # blank or malformed lines: parse line by line for a precise diagnostic
-        values = []
-        for lineno, raw in enumerate(lines, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
-        arr = np.asarray(values, dtype=np.float64)
-    return _named_buffer(path, arr, sample_rate_hz)
+    # read here first, so a missing file is the OS's error and bad bytes are
+    # named; numpy then opens the path again, through np.lib._datasource,
+    # which decompresses by suffix and warns when no line holds a value, and
+    # a pipe is empty by then
+    text = read_utf8_text(path)
+    if text.strip() and path.suffix not in _NUMPY_DECOMPRESSED_SUFFIXES and path.is_file():
+        try:
+            table = np.loadtxt(path, dtype=np.float64, comments=None, ndmin=2, encoding="utf-8-sig")
+        except ValueError:
+            pass
+        else:
+            if table.shape[1] == 1:
+                return _named_buffer(path, table[:, 0], sample_rate_hz)
+    # refused, several numbers on a line, or not read by numpy: parse line by
+    # line for a precise diagnostic
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
+    return _named_buffer(path, np.asarray(values, dtype=np.float64), sample_rate_hz)
 
 
 def load_wav_pcm16(path) -> SampleBuffer:

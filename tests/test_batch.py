@@ -42,6 +42,20 @@ from psverify.signal_io import SampleBuffer, write_text_samples
 
 # lags 1, 2, ..., 13: k1 = 2, so the solve fails at its first reflection
 BAD_LAGS = np.arange(1.0, LPC_ORDER + 2)
+# the first failed check of a row that passes all (features._first_failed_checks)
+PASSED = 2 * LPC_ORDER + 1
+
+
+def reflection_lags(step):
+    """Lags whose reflections are -0.5, 0.5, ... but 1.5 at `step`, built from
+    R[0] = 1 by the step-up recursion: the solve fails at that reflection,
+    which is check 2 * step."""
+    r, a, e = [1.0], np.zeros(0), 1.0
+    for i in range(1, LPC_ORDER + 1):
+        k = 1.5 if i == step else 0.5 * (-1) ** i
+        r.append(k * e + a @ np.array(r[:0:-1]))
+        a, e = np.append(a - k * a[::-1], k), (1.0 - k * k) * e
+    return np.array(r)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +121,61 @@ class TestMasking:
         lags = np.vstack((good[:1], BAD_LAGS, good[1:], zero_r0))
         (result,) = average_cepstra([lags])
         assert str(result) == "ill-conditioned autocorrelation: R[0] <= 0"
+
+    def test_mixed_batch_fails_each_row_at_its_own_step(self, small_corpus):
+        first, second = lag_matrices(small_corpus, 2)
+        zero_r0 = np.zeros(LPC_ORDER + 1)
+        # (matrix, the first failed check of each of its rows)
+        cases = [
+            (first, [PASSED] * len(first)),
+            (np.vstack((second[:2], zero_r0, second[2:])), [PASSED] * 2 + [0] + [PASSED] * (len(second) - 2)),
+            (np.vstack((first[:1], BAD_LAGS)), [PASSED, 2]),
+            (np.vstack((reflection_lags(4), second)), [8] + [PASSED] * len(second)),
+            (np.vstack((second[:3], reflection_lags(12), reflection_lags(9))), [PASSED] * 3 + [24, 18]),
+            (second, [PASSED] * len(second)),
+        ]
+        matrices = [matrix for matrix, _ in cases]
+        rows = np.vstack(matrices)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a, k, err, checks = features._levinson_batch(rows)
+            results = average_cepstra(matrices)
+            alone = [average_cepstra([matrix])[0] for matrix in matrices]
+        assert checks.tolist() == [check for _, row_checks in cases for check in row_checks]
+        for row, check, *solved in zip(rows, checks, a, k, err):
+            if check == PASSED:
+                for batch, solo in zip(solved, levinson_durbin(row)):
+                    assert batch.tobytes() == solo.tobytes()
+            else:  # zeroed, so no inf or nan reaches the cepstral recursion
+                assert not solved[0].any()
+        for matrix, result, solo in zip(matrices, results, alone):
+            if isinstance(solo, ValueError):
+                assert type(result) is ValueError and str(result) == str(solo)
+            else:
+                assert result.tobytes() == solo.tobytes() == frame_by_frame(matrix).tobytes()
+        assert [str(r) for r in results if isinstance(r, ValueError)] == [
+            "ill-conditioned autocorrelation: R[0] <= 0",
+            *["ill-conditioned autocorrelation: |reflection| >= 1"] * 3,
+        ]
+
+    def test_vanishing_residual_is_checked_between_reflections(self):
+        # with gradual underflow, (1 - k*k) * E stays above 0 whenever E > 0 and
+        # |k| < 1, so a residual vanishes first only where subnormals flush to
+        # zero; residuals and reflections are given here directly
+        order = 3
+        err, k = np.ones((5, order + 1)), np.zeros((5, order))
+        err[1, 2] = 0.0  # the residual after step 2, checked at step 3
+        err[2, 2], k[2, 1] = 0.0, 1.0  # step 2's reflection is checked first
+        k[3, 2], err[3, 3] = -1.0, -1.0  # the last residual is never checked
+        err[4, 0] = -1.0
+        checks = features._first_failed_checks(err, k)
+        assert checks.tolist() == [7, 5, 4, 6, 0]
+        assert [str(features._check_error(check, order)) for check in checks] == [
+            "None",
+            "ill-conditioned autocorrelation: vanishing residual",
+            *["ill-conditioned autocorrelation: |reflection| >= 1"] * 2,
+            "ill-conditioned autocorrelation: R[0] <= 0",
+        ]
 
     def test_overflowing_reflection_warns_nothing(self, small_corpus):
         (good,) = lag_matrices(small_corpus, 1)

@@ -493,6 +493,8 @@ class TestSynthCommand:
         (["vowel", "--silence-pad", "1e308"], "silence_pad_s 1e+308 s overflows a sample count at 16000 Hz"),
         (["corpus", "--duration", "1e308"], "duration_s 1e+308 s overflows a sample count at 16000 Hz"),
         (["corpus", "--silence-pad", "1e308"], "silence_pad_s 1e+308 s overflows a sample count at 16000 Hz"),
+        # a period longer than the voiced part, where no impulse would land
+        (["vowel", "--f0", "0.001"], "f0 0.001 Hz: a period of 16000000 samples exceeds the 8000 voiced samples"),
     ])
     def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -502,6 +504,17 @@ class TestSynthCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "v.txt").exists()
         assert not (tmp_path / "c").exists()  # every utterance is checked before the corpus directory is made
+
+    @pytest.mark.parametrize("what", ["vowel", "corpus"])
+    @pytest.mark.parametrize("seed", ["-1", "x", "1.5"])
+    def test_bad_seed_is_usage_error(self, what, seed, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        target = ["--out", "v.txt", "--f0", "120"] if what == "vowel" else ["--out", "c"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["synth", what, *target, "--seed", seed])
+        assert exc.value.code == 1
+        assert f"argument --seed: expected a non-negative integer, got {seed!r}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_synth_without_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -52,6 +52,15 @@ class TestSynthVowel:
         with pytest.raises(ValueError, match="f0"):
             synth_vowel(9000.0, (), 0.2, 16000)
 
+    def test_period_longer_than_the_voiced_part(self):
+        with pytest.raises(ValueError) as refused:
+            synth_vowel(0.001, VOWEL_FORMANTS["a"], 0.6, 16000)
+        assert str(refused.value) == "f0 0.001 Hz: a period of 16000000 samples exceeds the 9600 voiced samples"
+        with pytest.raises(ValueError, match="^f0 99.0 Hz: a period of 162 samples exceeds the 160 voiced"):
+            synth_vowel(99.0, (), 0.01, 16000)
+        # a period of exactly the voiced part holds one impulse
+        assert np.count_nonzero(synth_vowel(100.0, (), 0.01, 16000, seed=5).samples) == 1
+
     def test_formant_beyond_nyquist(self):
         with pytest.raises(ValueError, match="Nyquist"):
             synth_vowel(100.0, ((9000.0, 60.0),), 0.2, 16000)
@@ -107,6 +116,12 @@ class TestSyntheticCorpus:
         assert entries == load_manifest(manifest)
         assert all(Path(e.path).is_file() for e in entries)
 
+    def test_duration_shorter_than_a_period_rejected_before_writing(self, tmp_path):
+        # the lowest voices have periods of about 170 samples at 16 kHz
+        with pytest.raises(ValueError, match="^f0 .* Hz: a period of 1[67][0-9] samples exceeds the 160 voiced"):
+            make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1, duration_s=0.01)
+        assert not (tmp_path / "c").exists()
+
     def test_single_speaker_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="two speakers"):
             make_synthetic_corpus(tmp_path, n_speakers=1)
@@ -149,7 +164,9 @@ class TestManifest:
         ("x.txt,s01", "line 2: no vowel cell"),
         ('x.txt,"s01,a,train', "line 2: no vowel cell"),  # the quote is never closed
         ("x" * 140_000 + ",s01,a,train", "line 2: field larger than field limit (131072)"),
-    ], ids=["one-cell", "two-cells", "open-quote", "long-field"])
+        ("x.txt,s01,a,train,extra", "line 2: 5 cells, the header has 4"),
+        ("x.txt,s01,a,train,,", "line 2: 6 cells, the header has 4"),
+    ], ids=["one-cell", "two-cells", "open-quote", "long-field", "extra-cell", "trailing-commas"])
     def test_malformed_row_reports_line(self, row, message, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text(f"path,speaker_id,vowel,split\n{row}\n")

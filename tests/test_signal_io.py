@@ -1,3 +1,10 @@
+import bz2
+import gzip
+import lzma
+import os
+import re
+import threading
+import warnings
 import wave
 
 import numpy as np
@@ -70,8 +77,11 @@ class TestTextFormat:
             load_text_samples(p)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(OSError):
-            load_text_samples(tmp_path / "nope.txt")
+        path = tmp_path / "nope.txt"
+        with pytest.raises(FileNotFoundError) as missing:
+            load_text_samples(path)
+        # the OS's message, not numpy's "nope.txt not found."
+        assert str(missing.value) == f"[Errno 2] No such file or directory: {str(path)!r}"
 
     def test_write_example(self, tmp_path):
         p = tmp_path / "out.txt"
@@ -123,6 +133,57 @@ class TestTextFormat:
             write_text_samples(
                 SampleBuffer(np.array([1.0]), 16000), tmp_path / "missing_dir" / "x.txt"
             )
+
+
+# np.loadtxt opens a path through numpy's DataSource, which decompresses by
+# suffix and tries compressed siblings of a missing file; the loader reads
+# each of these files as the plain UTF-8 text it holds, as open() does
+COMPRESSORS = {
+    ".gz": lambda data: gzip.compress(data, mtime=0),
+    ".bz2": bz2.compress,
+    ".xz": lzma.compress,
+    ".lzma": lambda data: lzma.compress(data, format=lzma.FORMAT_ALONE),
+}
+
+
+class TestNumpyOpener:
+    def test_missing_file_ignores_compressed_sibling(self, tmp_path):
+        (tmp_path / "x.txt.gz").write_bytes(gzip.compress(b"1\n2\n", mtime=0))
+        with pytest.raises(FileNotFoundError, match="No such file"):
+            load_text_samples(tmp_path / "x.txt")
+
+    @pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+    def test_compressed_file_is_not_decompressed(self, tmp_path, suffix):
+        path = tmp_path / f"x.txt{suffix}"
+        path.write_bytes(COMPRESSORS[suffix](b"1\n2\n"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text: "):
+            load_text_samples(path)
+
+    @pytest.mark.parametrize("suffix", sorted(COMPRESSORS))
+    def test_text_under_a_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        path = tmp_path / f"x{suffix}"
+        path.write_text("1\n2\n")
+        np.testing.assert_array_equal(load_text_samples(path).samples, [1.0, 2.0])
+
+    @pytest.mark.parametrize("data", [b"", b"\n\n", b" \r\n\t\n", b"\xef\xbb\xbf\n", "\u2028\x85\n".encode()])
+    def test_blank_file_is_empty_signal_without_a_warning(self, tmp_path, data):
+        path = tmp_path / "blank.txt"
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: empty signal$"):
+                load_text_samples(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_is_read_once(self, tmp_path):
+        path = tmp_path / "pipe.txt"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("1\n2\n",), daemon=True)
+        writer.start()
+        samples = load_text_samples(path).samples
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(samples, [1.0, 2.0])
 
 
 class TestWav:
