@@ -195,11 +195,13 @@ def _score_input(args, cfg, weights):
 
 
 def _print_distance_table(report) -> None:
-    print(f"{'speaker':<12} {'cepstral':>14} {'temporal':>14}")
-    for sid, cep, tem in zip(report.ids, report.cepstral_distances.tolist(), report.temporal_distances.tolist()):
-        print(f"{sid:<12} {cep:>14.6g} {tem:>14.6g}")
-    print(f"nearest by cepstra:  {report.argmin_cepstral}")
-    print(f"nearest by features: {report.argmin_temporal}")
+    rows = zip(report.ids, report.cepstral_distances.tolist(), report.temporal_distances.tolist())
+    print("\n".join([
+        f"{'speaker':<12} {'cepstral':>14} {'temporal':>14}",
+        *(f"{sid:<12} {cep:>14.6g} {tem:>14.6g}" for sid, cep, tem in rows),
+        f"nearest by cepstra:  {report.argmin_cepstral}",
+        f"nearest by features: {report.argmin_temporal}",
+    ]))
 
 
 def _cmd_identify(args, cfg, weights) -> int:

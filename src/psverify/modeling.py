@@ -137,13 +137,18 @@ class ModelSet:
 
     def _merge(self, vowel: str, ids, matrix: np.ndarray, counts: np.ndarray) -> None:
         """Merge new columns, in any order, into the vowel's; ValueError if
-        an id repeats."""
+        an id repeats. Ids already strictly increasing skip the sort and
+        its copy."""
         old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
-        ids = old_ids + tuple(ids)
-        order = sorted(range(len(ids)), key=ids.__getitem__)
-        ids = tuple(ids[i] for i in order)
-        matrix = np.concatenate((old_matrix, matrix))[order]
-        counts = np.concatenate((old_counts, counts))[order]
+        ids = tuple(ids)
+        if old_ids:
+            ids = old_ids + ids
+            matrix = np.concatenate((old_matrix, matrix))
+            counts = np.concatenate((old_counts, counts))
+        if not all(map(operator.lt, ids, ids[1:])):
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            ids = tuple(ids[i] for i in order)
+            matrix, counts = matrix[order], counts[order]
         matrix.flags.writeable = counts.flags.writeable = False
         rows = dict(zip(ids, range(len(ids))))
         if len(rows) != len(ids):
@@ -210,22 +215,27 @@ def load_models(path) -> ModelSet:
     id, a body whose size the id lines do not fix, a non-finite value or a
     count below 1."""
     path = Path(path)
-    header, _, rest = path.read_bytes().partition(b"\n")
-    *lines, body = rest.split(b"\n", len(VOWELS))
+    header, *lines = path.read_bytes().split(b"\n", len(VOWELS) + 1)
     try:
         if header != FORMAT_HEADER.encode():
             raise ValueError(f"not a {FORMAT_HEADER!r} model file; run enroll again to rebuild it")
-        if len(lines) < len(VOWELS):
+        if len(lines) <= len(VOWELS):
             raise ValueError("file ends inside the speaker id lines")
-        ids_of = []
+        body = lines.pop()
+        ids_of, interned = [], {}  # id text -> its interned ids, shared by equal lines
         for lineno, (vowel, line) in enumerate(zip(VOWELS, lines), 2):
-            name, *ids = line.decode("utf-8").split(" ")
+            name, sep, tail = line.decode("utf-8").partition(" ")
             if name != vowel:
                 raise ValueError(f"line {lineno}: expected the speaker ids of vowel {vowel!r}")
-            for sid in ids:
-                if error := speaker_id_error(sid):
+            ids = interned.get(tail) if sep else ()
+            if ids is None:
+                ids = tail.split(" ")
+                # equal exactly when every id passes speaker_id_error
+                if tail.split() != ids:
+                    error = next(filter(None, map(speaker_id_error, ids)))
                     raise ValueError(f"line {lineno}: {error}")
-            ids_of.append([sys.intern(sid) for sid in ids])
+                ids = interned[tail] = tuple(map(sys.intern, ids))
+            ids_of.append(ids)
         row_bytes = 8 * (MODEL_DIM + 1)
         size = row_bytes * sum(map(len, ids_of))
         if len(body) != size:

@@ -120,6 +120,6 @@ def write_text_samples(buffer: SampleBuffer, path) -> None:
 
     The bytes equal np.savetxt(path, samples, fmt="%.12g").
     """
-    text = "\n".join([format(v, ".12g") for v in buffer.samples.tolist()])
+    samples = buffer.samples.tolist()
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(text + "\n")
+        fh.write(("%.12g\n" * len(samples)) % tuple(samples))

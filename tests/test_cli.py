@@ -7,6 +7,7 @@ import pytest
 from helpers import composed_vector
 from psverify import cli
 from psverify.evaluation import ManifestEntry, write_manifest
+from psverify.features import CepstralVector, TemporalFeatures, UtteranceFeatures
 from psverify.modeling import ModelSet, SpeakerModel, save_models
 from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
 from psverify.signal_io import load_text_samples
@@ -310,6 +311,28 @@ class TestRecognitionCommands:
             "--claim", "ra", "--vowel", test_entry.vowel,
         ])
         assert code == 3
+
+    def test_identify_prints_the_exact_table(self, vowel_file, tmp_path, monkeypatch, capsys):
+        # fixed features, so the bytes pin the table's layout, not the pipeline
+        feats = UtteranceFeatures(TemporalFeatures(4.0, 0.0, 1.0, 5.0), CepstralVector(np.linspace(-1, 1, 12)), "a")
+        monkeypatch.setattr(cli.pipeline, "utterance_features_from_file", lambda path, vowel, cfg: feats)
+        model_set = ModelSet()
+        for sid, shift in (("s2", 0.5), ("s10", 0.25), ("speaker_with_a_long_id", 3.0)):
+            model_set.add(SpeakerModel(sid, "a", feats.vector + shift * np.arange(16) / 16, 2))
+        model_set.add(SpeakerModel("s2", "e", np.zeros(16), 1))
+        models_path = tmp_path / "small.bin"
+        save_models(model_set, models_path)
+        code = cli.main(["identify", str(vowel_file), "--models", str(models_path), "--vowel", "a"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "speaker            cepstral       temporal\n"
+            "s10                 12.1265     0.00341797\n"
+            "s2                  48.5059      0.0136719\n"
+            "speaker_with_a_long_id        1746.21       0.492188\n"
+            "nearest by cepstra:  s10\n"
+            "nearest by features: s10\n"
+            "outcome: accepted s10\n"
+        )
 
     def test_identify_missing_models_is_data_error(self, vowel_file, tmp_path):
         code = cli.main([

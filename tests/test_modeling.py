@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,15 @@ def v2_bytes(id_lines, rows=(), counts=b""):
     rows as little-endian float64, then `counts` as given."""
     text = "\n".join(["PSV-MODELS v2", *id_lines]) + "\n"
     return text.encode() + np.array(rows, "<f8").tobytes() + counts
+
+
+def v2_columns(columns):
+    """The data of a hand-made model file: per vowel, in VOWELS order, its
+    rows as little-endian float64, then its counts as little-endian int64."""
+    return b"".join(
+        np.array(rows, "<f8").reshape(-1, 16).tobytes() + np.array(counts, "<i8").tobytes()
+        for rows, counts in columns
+    )
 
 
 ONE_MODEL_LINES = ["a spk", "e", "i", "o", "u"]
@@ -193,6 +204,60 @@ class TestPersistence:
             assert got.ids == want.ids
             assert got.cepstral_distances.tobytes() == want.cepstral_distances.tobytes()
             assert got.temporal_distances.tobytes() == want.temporal_distances.tobytes()
+
+
+class TestIdLines:
+    def test_unsorted_line_loads_sorted_with_its_rows(self, tmp_path):
+        p = tmp_path / "models.bin"
+        p.write_bytes(v2_bytes(["a s2 s1", "e", "i", "o", "u"]) + v2_columns([([[2.0] * 16, [1.0] * 16], [7, 5])]))
+        loaded = load_models(p)
+        ids, matrix = loaded.table("a")
+        assert ids == ("s1", "s2")
+        np.testing.assert_array_equal(matrix, [[1.0] * 16, [2.0] * 16])
+        assert [m.n_utterances for m in loaded.for_vowel("a")] == [5, 7]
+
+    def test_repeated_id_in_unsorted_line_rejected(self, tmp_path):
+        p = tmp_path / "models.bin"
+        p.write_bytes(v2_bytes(["a s2 s1 s2", "e", "i", "o", "u"], [[1.0] * 16] * 3, COUNT_3 * 3))
+        assert_refused(p, "duplicate speaker id 's2' for vowel 'a'")
+
+    @pytest.mark.parametrize("lines, lineno, first_bad", [
+        (["a s1 x\ty  z", "e", "i", "o", "u"], 2, "x\ty"),
+        (["a s1", "e s1 ", "i s1 ", "o", "u"], 3, ""),
+    ])
+    def test_first_bad_id_is_named(self, tmp_path, lines, lineno, first_bad):
+        p = tmp_path / "models.bin"
+        p.write_bytes(v2_bytes(lines))
+        error = f"line {lineno}: speaker id must be non-empty and contain no whitespace: {first_bad!r}"
+        assert_refused(p, re.escape(error) + "$")
+
+    @pytest.mark.parametrize("lines", [
+        [f"{vowel} spk1 spk2" for vowel in VOWELS],
+        ["a spk1 spk2", "e spk2", "i spk1 spk2", "o spk1", "u spk1 spk2"],
+    ])
+    def test_an_id_is_one_string_across_vowels(self, tmp_path, lines):
+        p = tmp_path / "models.bin"
+        sizes = [len(line.split()) - 1 for line in lines]
+        p.write_bytes(v2_bytes(lines) + v2_columns(([[1.0] * 16] * n, [3] * n) for n in sizes))
+        loaded = load_models(p)
+        for sid in loaded.speakers():
+            objects = {id(ids[ids.index(sid)]) for ids in (loaded.table(v)[0] for v in VOWELS) if sid in ids}
+            assert len(objects) == 1
+
+    @pytest.mark.parametrize("hand_made", [False, True])
+    def test_loaded_matrices_are_read_only_contiguous_and_aligned(self, tmp_path, hand_made):
+        p = tmp_path / "models.bin"
+        if hand_made:  # unsorted, so the loader sorts its rows
+            p.write_bytes(v2_bytes([f"{vowel} s2 s1" for vowel in VOWELS]) + v2_columns([([[1.0] * 16] * 2, [3, 3])] * 5))
+        else:
+            save_models(random_model_set(np.random.default_rng(16), 4), p)
+        loaded = load_models(p)
+        for vowel in VOWELS:
+            matrix = loaded.table(vowel)[1]
+            assert matrix.flags.c_contiguous and matrix.flags.aligned
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
 
 
 class TestModelValidation:
@@ -336,3 +401,20 @@ def test_reads_between_adds_give_the_same_columns(model_path, records, data):
         ids, matrix, counts = columns_of(interleaved, vowel)
         assert (ids, matrix, counts) == columns_of(plain, vowel)
         assert columns_of(loaded, vowel) == (ids, matrix, counts)
+
+
+@COLUMN_PROPERTY
+@given(model_records())
+def test_hand_made_file_loads_like_the_added_set(model_path, records):
+    """A file written by hand, each id line in the records' shuffled order,
+    loads to the same columns as adding the records one by one."""
+    by_vowel = [[r for r in records if r[1] == vowel] for vowel in VOWELS]
+    lines = [" ".join((vowel, *(r[0] for r in rs))) for vowel, rs in zip(VOWELS, by_vowel)]
+    model_path.write_bytes(v2_bytes(lines) + v2_columns(([r[3] for r in rs], [r[2] for r in rs]) for rs in by_vowel))
+    loaded, added = load_models(model_path), model_set_of(records)
+    assert loaded.speakers() == added.speakers()
+    for vowel in VOWELS:
+        assert columns_of(loaded, vowel) == columns_of(added, vowel)
+        assert [(m.speaker_id, m.mean_features.tobytes()) for m in loaded.for_vowel(vowel)] == [
+            (m.speaker_id, m.mean_features.tobytes()) for m in added.for_vowel(vowel)
+        ]
