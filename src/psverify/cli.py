@@ -38,15 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _parse_formants(text):
-    formants = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        centre, _, bandwidth = chunk.partition(":")
-        formants.append((float(centre), float(bandwidth) if bandwidth else 60.0))
-    return tuple(formants)
+def _formants(text):
+    """A --formants value: at least one CENTRE[:BANDWIDTH], split by commas; bandwidths default to 60 Hz."""
+    pairs = [chunk.strip().partition(":") for chunk in text.split(",") if chunk.strip()]
+    try:
+        if pairs:
+            return tuple((float(centre), float(bandwidth) if bandwidth else 60.0) for centre, _, bandwidth in pairs)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected F1:B1,F2:B2,.. naming at least one formant, got {text!r}")
+
+
+def _weights(text):
+    """A weight list: numbers split by commas or whitespace; DistanceWeights checks the count."""
+    try:
+        return [float(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected numbers split by commas or whitespace, got {text!r}") from None
 
 
 def _seed(text):
@@ -79,9 +87,9 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
     g.add_argument("--max-f0", dest="max_f0_hz", type=float,
                    help=f"highest admissible F0 (default {d.max_f0_hz:g})")
     g = group("distance weights")
-    g.add_argument("--cepstral-weights", dest="cepstral_weights", metavar="W1,..,W12",
+    g.add_argument("--cepstral-weights", dest="cepstral_weights", type=_weights, metavar="W1,..,W12",
                    help="override the Tokhura cepstral weight table")
-    g.add_argument("--temporal-weights", dest="temporal_weights", metavar="W1,..,W4",
+    g.add_argument("--temporal-weights", dest="temporal_weights", type=_weights, metavar="W1,..,W4",
                    help="override the temporal distance weights (default all 1)")
     return parents
 
@@ -139,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--f0", type=float, required=True)
     v.add_argument("--vowel", choices=VOWELS, default="a",
                    help="use this vowel's formant table (default a)")
-    v.add_argument("--formants", metavar="F1:B1,F2:B2,..", help="override the formant table")
+    v.add_argument("--formants", type=_formants, metavar="F1:B1,F2:B2,..", help="override the formant table")
     v.add_argument("--duration", type=float, default=0.5)
     v.add_argument("--silence-pad", type=float, default=0.05)
     v.add_argument("--seed", type=_seed, default=0)
@@ -188,12 +196,6 @@ def _cmd_enroll(args, cfg, weights) -> int:
     return 0
 
 
-def _score_input(args, cfg, weights):
-    model_set = modeling.load_models(args.models)
-    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
-    return score_against_models(features, model_set, weights)
-
-
 def _print_distance_table(report) -> None:
     rows = zip(report.ids, report.cepstral_distances.tolist(), report.temporal_distances.tolist())
     print("\n".join([
@@ -205,7 +207,9 @@ def _print_distance_table(report) -> None:
 
 
 def _cmd_identify(args, cfg, weights) -> int:
-    report = _score_input(args, cfg, weights)
+    model_set = modeling.load_models(args.models)
+    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
+    report = score_against_models(features, model_set, weights)
     _print_distance_table(report)
     outcome = identify_combined(report)
     if outcome.accepted:
@@ -216,7 +220,11 @@ def _cmd_identify(args, cfg, weights) -> int:
 
 
 def _cmd_verify(args, cfg, weights) -> int:
-    report = _score_input(args, cfg, weights)
+    model_set = modeling.load_models(args.models)
+    if (args.claim, args.vowel) not in model_set.models:  # refused before the input is read or a row printed
+        raise ValueError(f"unknown claimed speaker {args.claim!r}")
+    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
+    report = score_against_models(features, model_set, weights)
     _print_distance_table(report)
     result = verify_claim(report, args.claim)
     print(f"claim {args.claim}: {result}")
@@ -233,12 +241,8 @@ def _cmd_evaluate(args, cfg, weights) -> int:
 
 
 def _cmd_synth_vowel(args, cfg, weights) -> int:
-    formants = (
-        _parse_formants(args.formants) if args.formants
-        else evaluation.VOWEL_FORMANTS[args.vowel]
-    )
     buffer = evaluation.synth_vowel(
-        args.f0, formants, args.duration, cfg.sample_rate_hz,
+        args.f0, args.formants or evaluation.VOWEL_FORMANTS[args.vowel], args.duration, cfg.sample_rate_hz,
         seed=args.seed, silence_pad_s=args.silence_pad,
     )
     signal_io.write_text_samples(buffer, args.out)
@@ -272,9 +276,7 @@ def parse_and_dispatch(argv) -> int:
         # every setting is read and checked here, before a handler opens a file
         values = {k: v for k, v in vars(args).items() if v is not None}
         cfg = pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
-        # a weight list is numbers split by commas or whitespace; DistanceWeights checks the count
-        weights = DistanceWeights(**{k: [float(p) for p in values[k].replace(",", " ").split()]
-                                     for k in _WEIGHT_FIELDS if k in values})
+        weights = DistanceWeights(**{k: values[k] for k in _WEIGHT_FIELDS if k in values})
         return args.handler(args, cfg, weights)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,14 @@
 file format they are saved in and loaded from.
 
 A ModelSet keeps each vowel's models as columns: the speaker ids in
-lexicographic order, a read-only (S, 16) matrix and an utterance-count
-array. `SpeakerModel` is the record that goes in through `add` and comes
-back out of the `models` view.
+lexicographic order, its only index, a read-only (S, 16) matrix and an
+utterance-count array. `SpeakerModel` is the record that goes in through
+`add` and comes back out of the `models` view, in VOWELS order.
 """
 
 import operator
 import sys
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,9 +79,15 @@ class SpeakerModel:
 _NO_COLUMNS = ((), np.empty((0, MODEL_DIM)), np.empty(0, np.int64))
 
 
+def _row(ids: tuple, sid) -> int | None:
+    """The row of `sid` in the sorted `ids`, or None; None for a non-str."""
+    i = bisect_left(ids, sid) if isinstance(sid, str) else len(ids)
+    return i if i < len(ids) and ids[i] == sid else None
+
+
 class _ModelsView(Mapping):
-    """Read-only (speaker id, vowel) -> SpeakerModel view of a ModelSet.
-    Values are built from the columns on each access."""
+    """Read-only (speaker id, vowel) -> SpeakerModel view of a ModelSet, in
+    VOWELS order. Values are built from the columns on each access."""
 
     __slots__ = ("_set",)
 
@@ -88,24 +95,18 @@ class _ModelsView(Mapping):
         self._set = model_set
 
     def __getitem__(self, key) -> SpeakerModel:
-        if key not in self:
-            raise KeyError(key)
-        sid, vowel = key
+        sid, vowel = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
         ids, matrix, counts = self._set._read(vowel)
-        i = self._set._rows[vowel][sid]
+        i = _row(ids, sid)
+        if i is None:
+            raise KeyError(key)
         return SpeakerModel._of_row(ids[i], vowel, matrix[i], int(counts[i]))
 
-    def __contains__(self, key) -> bool:
-        if not (isinstance(key, tuple) and len(key) == 2):
-            return False
-        sid, vowel = key
-        return sid in self._set._rows.get(vowel, ())
-
     def __len__(self) -> int:
-        return sum(map(len, self._set._rows.values()))
+        return sum(len(self._set._read(vowel)[0]) for vowel in VOWELS)
 
     def __iter__(self):
-        for vowel in self._set._rows:
+        for vowel in VOWELS:
             for sid in self._set._read(vowel)[0]:
                 yield sid, vowel
 
@@ -117,8 +118,7 @@ class ModelSet:
 
     def __init__(self):
         self._columns = {}  # vowel -> (ids, matrix, counts)
-        self._rows = {}  # vowel -> {speaker id: row, or None while queued}
-        self._queued = {}  # vowel -> [(speaker id, values, count)]
+        self._queued = {}  # vowel -> {speaker id: (values, count)}
 
     @property
     def models(self) -> Mapping:
@@ -126,19 +126,18 @@ class ModelSet:
         return _ModelsView(self)
 
     def add(self, model: SpeakerModel) -> None:
-        """Queue one model; amortized O(1)."""
+        """Queue one model; a binary search for a repeat, and no merge."""
         # one shared id string per speaker across the five vowels
         sid = sys.intern(model.speaker_id)
-        rows = self._rows.setdefault(model.vowel, {})
-        if sid in rows:
+        queued = self._queued.setdefault(model.vowel, {})
+        if sid in queued or _row(self._columns.get(model.vowel, _NO_COLUMNS)[0], sid) is not None:
             raise ValueError(f"duplicate model for {(sid, model.vowel)}")
-        rows[sid] = None
-        self._queued.setdefault(model.vowel, []).append((sid, model.mean_features, model.n_utterances))
+        queued[sid] = model.mean_features, model.n_utterances
 
     def _merge(self, vowel: str, ids, matrix: np.ndarray, counts: np.ndarray) -> None:
-        """Merge new columns, in any order, into the vowel's; ValueError if
-        an id repeats. Ids already strictly increasing skip the sort and
-        its copy."""
+        """Merge new columns, in any order, into the vowel's. Ids already
+        strictly increasing skip the sort and its copy; sorted ids break
+        strict order only at a repeat: ValueError naming the smallest."""
         old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
         ids = tuple(ids)
         if old_ids:
@@ -148,25 +147,23 @@ class ModelSet:
         if not all(map(operator.lt, ids, ids[1:])):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             ids = tuple(ids[i] for i in order)
+            if not all(map(operator.lt, ids, ids[1:])):
+                repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
+                raise ValueError(f"duplicate speaker id {repeated!r} for vowel {vowel!r}")
             matrix, counts = matrix[order], counts[order]
         matrix.flags.writeable = counts.flags.writeable = False
-        rows = dict(zip(ids, range(len(ids))))
-        if len(rows) != len(ids):
-            repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-            raise ValueError(f"duplicate speaker id {repeated!r} for vowel {vowel!r}")
         self._columns[vowel] = ids, matrix, counts
-        self._rows[vowel] = rows
 
     def _read(self, vowel: str):
         """The vowel's (ids, matrix, counts), queued models merged in."""
         queued = self._queued.pop(vowel, None)
         if queued:
-            ids, rows, counts = zip(*queued)
-            self._merge(vowel, ids, np.stack(rows), np.array(counts, dtype=np.int64))
+            rows, counts = zip(*queued.values())
+            self._merge(vowel, queued, np.stack(rows), np.array(counts, dtype=np.int64))
         return self._columns.get(vowel, _NO_COLUMNS)
 
     def speakers(self) -> list[str]:
-        return sorted(set().union(*self._rows.values()))
+        return sorted(set().union(*(self._read(vowel)[0] for vowel in VOWELS)))
 
     def table(self, vowel: str) -> tuple[tuple[str, ...], np.ndarray]:
         """The vowel's speaker ids in lexicographic order and their models

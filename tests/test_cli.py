@@ -169,6 +169,25 @@ class TestSettingsSurface:
         assert "invalid choice" not in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["identify", "x.txt", "--models", "m.bin", "--vowel", "a", "--cepstral-weights", "abc"],
+         "--cepstral-weights"),
+        (["verify", "x.txt", "--models", "m.bin", "--claim", "s1", "--vowel", "a", "--temporal-weights", "1,2,3,x"],
+         "--temporal-weights"),
+        (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--formants", "abc"], "--formants"),
+        (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--formants", "500:80,x:90"], "--formants"),
+        # values that name no formant
+        (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--formants", ",,,"], "--formants"),
+        (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--formants", ""], "--formants"),
+    ])
+    def test_malformed_list_flag_is_usage_error_naming_it(self, argv, flag, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert f"error: argument {flag}: expected " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSignalCommands:
     def test_preprocess_writes_loadable_signal(self, vowel_file, tmp_path):
@@ -311,6 +330,23 @@ class TestRecognitionCommands:
             "--claim", "ra", "--vowel", test_entry.vowel,
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("claim, vowel", [("nobody", "a"), ("s2", "e")])
+    def test_verify_refuses_an_unknown_claim_before_scoring(self, claim, vowel, vowel_file, tmp_path, monkeypatch, capsys):
+        # s2 is enrolled on a only; the claim is refused before the input is read
+        model_set = ModelSet()
+        for sid, v in (("s1", "a"), ("s1", "e"), ("s2", "a")):
+            model_set.add(SpeakerModel(sid, v, np.zeros(16), 1))
+        models_path = tmp_path / "small.bin"
+        save_models(model_set, models_path)
+        read = []
+        monkeypatch.setattr(cli.pipeline, "utterance_features_from_file", lambda *a: read.append(a))
+        code = cli.main(["verify", str(vowel_file), "--models", str(models_path), "--claim", claim, "--vowel", vowel])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: unknown claimed speaker {claim!r}" in captured.err
+        assert read == []
 
     def test_identify_prints_the_exact_table(self, vowel_file, tmp_path, monkeypatch, capsys):
         # fixed features, so the bytes pin the table's layout, not the pipeline

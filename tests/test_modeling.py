@@ -283,9 +283,17 @@ class TestColumns:
         assert first is not second
         np.testing.assert_array_equal(first.mean_features, second.mean_features)
         assert ("s00", "a") in model_set.models
-        assert ("s00", "y") not in model_set.models and "s00" not in model_set.models
-        with pytest.raises(KeyError):
-            model_set.models["s09", "a"]
+        # a key of the wrong shape or types is absent, not a TypeError from the id search
+        for key in (("s00", "y"), "s00", (5, "a"), ("s00", 5), ("s09", "a")):
+            assert key not in model_set.models
+            with pytest.raises(KeyError):
+                model_set.models[key]
+
+    def test_models_iterate_in_vowel_order(self):
+        model_set = ModelSet()
+        for sid, vowel in (("s1", "u"), ("s2", "a"), ("s1", "i"), ("s1", "a")):
+            model_set.add(SpeakerModel(sid, vowel, np.zeros(16), 1))
+        assert list(model_set.models) == [("s1", "a"), ("s2", "a"), ("s1", "i"), ("s1", "u")]
 
     def test_for_vowel_and_speakers_follow_table(self):
         model_set = ModelSet()
@@ -394,6 +402,12 @@ def test_reads_between_adds_give_the_same_columns(model_path, records, data):
                 assert model.mean_features.tobytes() == np.array(key_values).tobytes()
             else:
                 assert len(list(interleaved.models)) == len(interleaved.models) == i + 1
+    # a repeat is refused whether its vowel's models are still queued or already merged
+    sid, vowel, n, values = records[data.draw(st.integers(0, len(records) - 1))]
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(f"duplicate model for {(sid, vowel)}")):
+            interleaved.add(SpeakerModel(sid, vowel, values, n))
+        interleaved.table(vowel)
     plain = model_set_of(records)
     save_models(interleaved, model_path)
     loaded = load_models(model_path)
