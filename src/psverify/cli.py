@@ -7,7 +7,6 @@ evaluate, synth. Exit codes: 0 success, 1 usage error, 2 data error;
 
 import argparse
 import dataclasses
-import itertools
 import logging
 import sys
 
@@ -25,9 +24,6 @@ from .features import VOWELS
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
-
-_CONFIG_FIELDS = [f.name for f in dataclasses.fields(pipeline.PipelineConfig)]
-_WEIGHT_FIELDS = [f.name for f in dataclasses.fields(DistanceWeights)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,9 +64,16 @@ def _seed(text):
     return value
 
 
+class _SettingBeforeCommand(argparse.Action):
+    """Refuses a setting flag, or an abbreviation argparse matches to it, put before a sub-command."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(f"{option_string}: setting flags go after the sub-command that reads them")
+
+
 def _setting_groups() -> list[argparse.ArgumentParser]:
-    """Parent parsers for the signal, pitch and weight settings; a command
-    that reads one group reads all before it, so takes a prefix."""
+    """Parent parsers for the pipeline settings and the distance weights; a
+    command that reads weights also marks pitch, so takes a prefix."""
     d = pipeline.PipelineConfig()
     parents = []
 
@@ -78,10 +81,9 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
         parents.append(argparse.ArgumentParser(add_help=False))
         return parents[-1].add_argument_group(title)
 
-    g = group("signal options")
+    g = group("signal and pitch options")
     g.add_argument("--sample-rate", dest="sample_rate_hz", type=int, metavar="HZ",
-                   help=f"rate for text inputs (default {d.sample_rate_hz})")
-    g = group("pitch options")
+                   help=f"rate of text inputs; a WAV file carries its own (default {d.sample_rate_hz})")
     g.add_argument("--min-f0", dest="min_f0_hz", type=float,
                    help=f"lowest admissible F0 (default {d.min_f0_hz:g})")
     g.add_argument("--max-f0", dest="max_f0_hz", type=float,
@@ -96,53 +98,59 @@ def _setting_groups() -> list[argparse.ArgumentParser]:
 
 def build_parser() -> argparse.ArgumentParser:
     groups = _setting_groups()
+    # "--m" starts two flags; spelled out, argparse no longer calls it ambiguous after a command
+    setting_flags = ["--m", *(f for g in groups for a in g._actions for f in a.option_strings)]
+    refused = dict(action=_SettingBeforeCommand, nargs="?", dest=argparse.SUPPRESS, help=argparse.SUPPRESS)
     parser = _Parser(prog="psverify",
                      description="Pitch-synchronous speaker verification toolkit.")
+    parser.add_argument(*setting_flags, **refused)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def command(subparsers, name, handler, n_groups, summary):
         p = subparsers.add_parser(name, parents=groups[:n_groups], help=summary)
-        p.set_defaults(handler=handler)
+        # the handler takes what each of its groups' flags build, in group order
+        p.set_defaults(handler=handler, settings=(pipeline.PipelineConfig, DistanceWeights)[:n_groups])
         return p
 
-    p = command(sub, "preprocess", _cmd_preprocess, 1,
+    p = command(sub, "preprocess", _cmd_preprocess, 0,
                 "DC-correct, normalize and silence-trim a signal")
     p.add_argument("input")
     p.add_argument("output")
 
-    p = command(sub, "pitch-marks", _cmd_pitch_marks, 2,
+    p = command(sub, "pitch-marks", _cmd_pitch_marks, 1,
                 "print the polarity used and one mark index per line")
     p.add_argument("input")
 
-    p = command(sub, "features", _cmd_features, 2, "print the 16 feature values on one line")
+    p = command(sub, "features", _cmd_features, 1, "print the 16 feature values on one line")
     p.add_argument("input")
 
-    p = command(sub, "enroll", _cmd_enroll, 2, "train models from a manifest")
+    p = command(sub, "enroll", _cmd_enroll, 1, "train models from a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="model file to write")
 
-    p = command(sub, "identify", _cmd_identify, 3,
+    p = command(sub, "identify", _cmd_identify, 2,
                 "closed-set identification with the agree-or-reject rule")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = command(sub, "verify", _cmd_verify, 3,
+    p = command(sub, "verify", _cmd_verify, 2,
                 "check an identity claim; exits 0 verified, 2 impostor, 3 retry")
     p.add_argument("input")
     p.add_argument("--models", required=True)
     p.add_argument("--claim", required=True, metavar="SPEAKER")
     p.add_argument("--vowel", choices=VOWELS, required=True)
 
-    p = command(sub, "evaluate", _cmd_evaluate, 3,
+    p = command(sub, "evaluate", _cmd_evaluate, 2,
                 "batch evaluation; prints tables and writes CSV reports")
     p.add_argument("--models", required=True)
     p.add_argument("--manifest", required=True)
     p.add_argument("--report", required=True, metavar="DIR")
 
     p = sub.add_parser("synth", help="generate synthetic fixtures")
+    p.add_argument(*setting_flags, **refused)
     synth_sub = p.add_subparsers(metavar="WHAT", required=True)
-    v = command(synth_sub, "vowel", _cmd_synth_vowel, 1, "one synthetic vowel file")
+    v = command(synth_sub, "vowel", _cmd_synth_vowel, 0, "one synthetic vowel file")
     v.add_argument("--out", required=True)
     v.add_argument("--f0", type=float, required=True)
     v.add_argument("--vowel", choices=VOWELS, default="a",
@@ -151,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--duration", type=float, default=0.5)
     v.add_argument("--silence-pad", type=float, default=0.05)
     v.add_argument("--seed", type=_seed, default=0)
-    c = command(synth_sub, "corpus", _cmd_synth_corpus, 1, "labeled multi-speaker corpus")
+    c = command(synth_sub, "corpus", _cmd_synth_corpus, 0, "labeled multi-speaker corpus")
     c.add_argument("--out", required=True, metavar="DIR")
     c.add_argument("--speakers", type=int, default=10)
     c.add_argument("--train", type=int, default=20, help="train utterances per vowel")
@@ -159,16 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=_seed, default=12345)
     c.add_argument("--duration", type=float, default=0.35)
     c.add_argument("--silence-pad", type=float, default=0.04)
+    for p in (v, c):
+        p.add_argument("--sample-rate", dest="sample_rate_hz", type=int, default=signal_io.DEFAULT_SAMPLE_RATE_HZ,
+                       metavar="HZ", help="output sample rate (default %(default)s)")
     return parser
 
 
-def _cmd_preprocess(args, cfg, weights) -> int:
-    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg))
+def _cmd_preprocess(args) -> int:
+    buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input))
     signal_io.write_text_samples(buffer, args.output)
     return 0
 
 
-def _cmd_pitch_marks(args, cfg, weights) -> int:
+def _cmd_pitch_marks(args, cfg) -> int:
     buffer = pipeline.preprocess_signal(pipeline.load_signal(args.input, cfg))
     marks = pipeline.detect_marks(buffer, cfg)
     print("polarity", "positive" if marks.polarity_used > 0 else "negative")
@@ -177,14 +188,14 @@ def _cmd_pitch_marks(args, cfg, weights) -> int:
     return 0
 
 
-def _cmd_features(args, cfg, weights) -> int:
+def _cmd_features(args, cfg) -> int:
     # the vowel is only a label: it changes none of the 16 values
     features = pipeline.utterance_features_from_file(args.input, "a", cfg)
     print(" ".join(format(v, ".9g") for v in features.vector))
     return 0
 
 
-def _cmd_enroll(args, cfg, weights) -> int:
+def _cmd_enroll(args, cfg) -> int:
     entries = evaluation.load_manifest(args.manifest)
     failed = []
     model_set = evaluation.run_training(entries, cfg, failed)
@@ -240,9 +251,9 @@ def _cmd_evaluate(args, cfg, weights) -> int:
     return 0
 
 
-def _cmd_synth_vowel(args, cfg, weights) -> int:
+def _cmd_synth_vowel(args) -> int:
     buffer = evaluation.synth_vowel(
-        args.f0, args.formants or evaluation.VOWEL_FORMANTS[args.vowel], args.duration, cfg.sample_rate_hz,
+        args.f0, args.formants or evaluation.VOWEL_FORMANTS[args.vowel], args.duration, args.sample_rate_hz,
         seed=args.seed, silence_pad_s=args.silence_pad,
     )
     signal_io.write_text_samples(buffer, args.out)
@@ -250,10 +261,10 @@ def _cmd_synth_vowel(args, cfg, weights) -> int:
     return 0
 
 
-def _cmd_synth_corpus(args, cfg, weights) -> int:
+def _cmd_synth_corpus(args) -> int:
     manifest_path, entries = evaluation.make_synthetic_corpus(
         args.out, args.speakers, args.train, args.test, args.seed,
-        cfg.sample_rate_hz, args.duration, args.silence_pad,
+        args.sample_rate_hz, args.duration, args.silence_pad,
     )
     print(f"wrote {len(entries)} utterances, manifest at {manifest_path}")
     return 0
@@ -261,13 +272,6 @@ def _cmd_synth_corpus(args, cfg, weights) -> int:
 
 def parse_and_dispatch(argv) -> int:
     parser = build_parser()
-    if argv[:1] == ["synth"]:  # argparse would call a setting's value an unknown sub-command
-        settings = {f for g in _setting_groups() for a in g._actions for f in a.option_strings}
-        for token in itertools.takewhile(lambda t: t not in ("vowel", "corpus"), argv[1:]):
-            # argparse also takes any unique prefix of a long flag
-            flag = token.partition("=")[0]
-            if flag.startswith("--") and flag != "--" and any(f.startswith(flag) for f in settings):
-                parser.error(f"{flag}: setting flags go after the sub-command (synth vowel|corpus ...)")
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
@@ -275,9 +279,9 @@ def parse_and_dispatch(argv) -> int:
     try:
         # every setting is read and checked here, before a handler opens a file
         values = {k: v for k, v in vars(args).items() if v is not None}
-        cfg = pipeline.PipelineConfig(**{k: values[k] for k in _CONFIG_FIELDS if k in values})
-        weights = DistanceWeights(**{k: values[k] for k in _WEIGHT_FIELDS if k in values})
-        return args.handler(args, cfg, weights)
+        settings = [kind(**{f.name: values[f.name] for f in dataclasses.fields(kind) if f.name in values})
+                    for kind in args.settings]
+        return args.handler(args, *settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -9,6 +9,7 @@ combined system, with accuracy computed on accepted trials.
 import csv
 import io
 import logging
+import sys
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -140,6 +141,10 @@ UTTERANCE_FORMANT_SPREAD = 0.03
 
 
 def _check_sizes(duration_s: float, silence_pad_s: float, sample_rate_hz: int) -> None:
+    # an int past the largest float is finite, but no product with it is
+    if not 0 < sample_rate_hz <= sys.float_info.max:
+        raise ValueError(f"sample_rate_hz must be finite and positive, at most {sys.float_info.max:g}, "
+                         f"got {sample_rate_hz}")
     if not 0 < duration_s < np.inf:
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     if not 0 <= silence_pad_s < np.inf:
@@ -356,7 +361,7 @@ def run_evaluation(
     """Score every test entry against the models and aggregate the report.
 
     Files that fail the pipeline are logged, left out of the totals and
-    listed in the report's `failed`.
+    listed in the report's `failed`; a pass in which all fail is refused.
     """
     tests = [e for e in entries if e.split == "test"]
     if not tests:
@@ -376,6 +381,8 @@ def run_evaluation(
                 report.argmin_cepstral, report.argmin_temporal,
             )
         )
+    if not outcomes:
+        raise ValueError(f"no test file could be scored: failed {len(failed)} of {len(tests)} test files")
     return aggregate_outcomes(outcomes, failed)
 
 

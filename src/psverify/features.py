@@ -172,7 +172,10 @@ def _levinson_batch(r):
 def _first_failed_checks(err, k) -> np.ndarray:
     """Each row's first failed check, in the order a solo solve makes them:
     check 0 is R[0] > 0, checks 2i - 1 and 2i the residual and the
-    reflection of step i; 2 * order + 1 if every check passed."""
+    reflection of step i; 2 * order + 1 if every check passed. Under IEEE
+    gradual underflow a residual check never fails first, as (1 - k*k) * E
+    with E > 0 and |k| < 1 rounds to at least one subnormal step: it guards
+    only flush-to-zero floating-point modes."""
     failed = np.empty((k.shape[0], 2 * k.shape[1] + 1), dtype=bool)
     failed[:, 0] = err[:, 0] <= 0.0
     failed[:, 1::2] = err[:, :-1] <= 0.0

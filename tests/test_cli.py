@@ -61,23 +61,23 @@ class TestParsing:
         assert exc.value.code == 1
 
 
-SIGNAL = {"--sample-rate"}
-PITCH = {"--min-f0", "--max-f0"}
+PIPELINE = {"--sample-rate", "--min-f0", "--max-f0"}
 WEIGHTS = {"--cepstral-weights", "--temporal-weights"}
-SETTINGS = SIGNAL | PITCH | WEIGHTS
+SETTINGS = PIPELINE | WEIGHTS
 SETTINGS_BY_PARSER = {
-    "preprocess": SIGNAL,
-    "pitch-marks": SIGNAL | PITCH,
-    "features": SIGNAL | PITCH,
-    "enroll": SIGNAL | PITCH,
+    "preprocess": set(),
+    "pitch-marks": PIPELINE,
+    "features": PIPELINE,
+    "enroll": PIPELINE,
     "identify": SETTINGS,
     "verify": SETTINGS,
     "evaluate": SETTINGS,
     "synth": set(),
-    "synth vowel": SIGNAL,
-    "synth corpus": SIGNAL,
+    "synth vowel": set(),
+    "synth corpus": set(),
 }
-# each command's own options, which are not settings
+# each command's own options, which are not settings: synth's --sample-rate
+# is the rate it writes, not the pipeline's rate of text inputs
 OWN_OPTIONS = {
     "preprocess": set(),
     "pitch-marks": set(),
@@ -87,9 +87,20 @@ OWN_OPTIONS = {
     "verify": {"--models", "--claim", "--vowel"},
     "evaluate": {"--models", "--manifest", "--report"},
     "synth": set(),
-    "synth vowel": {"--out", "--f0", "--vowel", "--formants", "--duration", "--silence-pad", "--seed"},
-    "synth corpus": {"--out", "--speakers", "--train", "--test", "--seed", "--duration", "--silence-pad"},
+    "synth vowel": {"--out", "--f0", "--vowel", "--formants", "--duration", "--silence-pad", "--seed",
+                    "--sample-rate"},
+    "synth corpus": {"--out", "--speakers", "--train", "--test", "--seed", "--duration", "--silence-pad",
+                     "--sample-rate"},
 }
+# abbreviations argparse takes for a flag, which a refusal names in full
+ABBREVIATED = {"--sample": "--sample-rate", "--sam": "--sample-rate", "--temp": "--temporal-weights",
+               "--mi": "--min-f0"}
+
+
+def _taken_flags(parser):
+    """Every option string a parser takes, bar help and the hidden refusal of settings."""
+    return {flag for action in parser._actions if not isinstance(action, cli._SettingBeforeCommand)
+            for flag in action.option_strings} - {"-h", "--help"}
 
 
 def _sub_parsers(parser, prefix=""):
@@ -104,14 +115,36 @@ class TestSettingsSurface:
     @pytest.mark.parametrize("name", SETTINGS_BY_PARSER)
     def test_parser_takes_exactly_its_settings(self, name):
         parser = dict(_sub_parsers(cli.build_parser()))[name]
-        flags = {flag for action in parser._actions for flag in action.option_strings}
         # every option string bar help, so a stray or re-added setting shows
-        assert flags - {"-h", "--help"} == SETTINGS_BY_PARSER[name] | OWN_OPTIONS[name]
+        assert _taken_flags(parser) == SETTINGS_BY_PARSER[name] | OWN_OPTIONS[name]
 
     def test_every_parser_is_listed(self):
         assert [name for name, _ in _sub_parsers(cli.build_parser())] == list(SETTINGS_BY_PARSER)
         assert list(OWN_OPTIONS) == list(SETTINGS_BY_PARSER)
-        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 27
+        assert sum(map(len, SETTINGS_BY_PARSER.values())) == 24
+
+    def test_parsers_before_a_command_refuse_every_setting_unseen(self):
+        parser = cli.build_parser()
+        parsers = {"psverify": parser, **{name: p for name, p in _sub_parsers(parser)}}
+        for name, p in parsers.items():
+            hidden = [a for a in p._actions if isinstance(a, cli._SettingBeforeCommand)]
+            if name in ("psverify", "synth"):
+                # "--m" starts two settings: spelled out, argparse matches it exactly
+                (action,) = hidden
+                assert set(action.option_strings) == SETTINGS | {"--m"}
+                assert action.help is argparse.SUPPRESS and action.dest is argparse.SUPPRESS
+                assert "--min-f0" not in p.format_help()
+            else:
+                assert hidden == []
+        assert _taken_flags(parser) == set()
+
+    def test_help_names_each_rate(self, capsys):
+        for argv, text in ((["synth", "vowel"], "output sample rate (default 16000)"),
+                           (["synth", "corpus"], "output sample rate (default 16000)"),
+                           (["features"], "rate of text inputs; a WAV file carries its own")):
+            with pytest.raises(SystemExit):
+                cli.main([*argv, "--help"])
+            assert text in " ".join(capsys.readouterr().out.split())
 
     def test_unknown_config_key_is_data_error(self, vowel_file, tmp_path, capsys, monkeypatch):
         # settings come from flags alone: --config is a usage error that reads and writes nothing
@@ -146,6 +179,8 @@ class TestSettingsSurface:
          "--duration", "0.1", "--silence-pad", "0"],
         ["synth", "vowel", "--out", "v.txt", "--f0", "120", "--max-f0", "300"],
         ["preprocess", "in.txt", "out.txt", "--max-f0", "300"],
+        # the output is the same at every rate: the rate is not a preprocess setting
+        ["preprocess", "in.txt", "out.txt", "--sample-rate", "8000"],
     ])
     def test_setting_a_command_does_not_read_is_usage_error(self, argv, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -165,8 +200,59 @@ class TestSettingsSurface:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         name = flag[0].partition("=")[0]
-        assert f"{name}: setting flags go after the sub-command (synth vowel|corpus ...)" in err
+        refusal = f"{ABBREVIATED.get(name, name)}: setting flags go after the sub-command that reads them"
+        assert f"psverify synth: error: {refusal}" in err
         assert "invalid choice" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--min-f0", "60", "features", "x.txt"],
+        ["--sam", "8000", "features", "x.txt"],
+        ["--mi=60", "pitch-marks", "x.txt"],
+        ["--temp", "1,1,1,1", "identify", "x.txt", "--models", "m.bin", "--vowel", "a"],
+        ["--cepstral-weights", "preprocess", "in.txt", "out.txt"],
+        ["--m", "3", "features", "x.txt"],
+        ["--max-f0"],
+    ])
+    def test_setting_before_any_command_says_where_it_goes(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        name = argv[0].partition("=")[0]
+        refusal = f"{ABBREVIATED.get(name, name)}: setting flags go after the sub-command that reads them"
+        assert f"psverify: error: {refusal}" in err
+        assert "invalid choice" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_settings_after_the_command_are_read_abbreviated_or_not(self):
+        parse = cli.build_parser().parse_args
+        assert parse(["features", "x.txt", "--min", "60"]).min_f0_hz == 60.0
+        assert parse(["pitch-marks", "x.txt", "--sample-rate=8000", "--max-f0", "300"]).max_f0_hz == 300.0
+        args = parse(["identify", "x.txt", "--models", "m", "--vowel", "a", "--temp", "1,2,3,4"])
+        assert args.temporal_weights == [1.0, 2.0, 3.0, 4.0]
+        # the refusal of settings before a command leaves no attribute behind
+        assert set(vars(args)) == {"command", "handler", "settings", "input", "models", "vowel",
+                                   "sample_rate_hz", "min_f0_hz", "max_f0_hz", "cepstral_weights", "temporal_weights"}
+
+    @pytest.mark.parametrize("argv, message", [
+        # "--m" is a setting's prefix only before the command; after it, the command's parser decides
+        (["preprocess", "in.txt", "out.txt", "--m", "3"], "psverify: error: unrecognized arguments: --m 3"),
+        (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--m", "3"],
+         "psverify: error: unrecognized arguments: --m 3"),
+        (["features", "x.txt", "--m", "3"],
+         "psverify features: error: ambiguous option: --m could match --min-f0, --max-f0"),
+        (["enroll", "--manifest", "m.csv", "--out", "m.bin", "--m", "3"],
+         "psverify enroll: error: ambiguous option: --m could match --min-f0, --max-f0, --manifest"),
+    ], ids=["preprocess", "synth-vowel", "features", "enroll"])
+    def test_prefix_of_two_settings_after_a_command_gets_that_commands_reason(self, argv, message, tmp_path,
+                                                                              monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == message
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, flag", [
@@ -194,7 +280,7 @@ class TestSignalCommands:
         out = tmp_path / "pre.txt"
         assert cli.main(["preprocess", str(vowel_file), str(out)]) == 0
         buf = load_text_samples(out)
-        assert np.abs(buf.samples).max() == pytest.approx(10000.0, rel=1e-6)
+        assert np.abs(buf.samples).max() == 10000.0  # exact once written with 12 digits
 
     def test_pitch_marks_config_file_and_flag_precedence(self, vowel_file, capsys):
         # near the vowel's 140 Hz, the highest admissible F0 moves its marks
@@ -440,6 +526,38 @@ class TestRecognitionCommands:
         assert cli.main(["enroll", "--manifest", str(manifest_path), "--out", str(out_path)]) == 0
         assert "failed" not in capsys.readouterr().out
 
+    def test_evaluate_refuses_a_pass_that_scored_nothing(self, enrolled, small_corpus, tmp_path, capsys):
+        # every test file silent: an all-zero report is refused, and no CSV is written
+        models_path, _ = enrolled
+        _, entries = small_corpus
+        silent = tmp_path / "silent.txt"
+        silent.write_text("0\n" * 3000)
+        manifest = tmp_path / "manifest.csv"
+        write_manifest([e if e.split == "train" else ManifestEntry(str(silent), e.speaker_id, e.vowel, "test")
+                        for e in entries], manifest)
+        report_dir = tmp_path / "report"
+        code = cli.main(["evaluate", "--models", str(models_path), "--manifest", str(manifest),
+                         "--report", str(report_dir)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "error: no test file could be scored: failed 15 of 15 test files" in captured.err
+        assert not report_dir.exists()
+
+    def test_model_file_with_a_speaker_missing_on_one_vowel(self, small_corpus, tmp_path, capsys):
+        # s03 enrolled on every vowel but u: identify scores 2 speakers on u and 3 on a
+        _, entries = small_corpus
+        manifest = tmp_path / "partial.csv"
+        write_manifest([e for e in entries if (e.speaker_id, e.vowel) != ("s03", "u")], manifest)
+        models_path = tmp_path / "partial.bin"
+        assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(models_path)]) == 0
+        capsys.readouterr()
+        for vowel, speakers in (("u", ["s01", "s02"]), ("a", ["s01", "s02", "s03"])):
+            test = next(e for e in entries if (e.speaker_id, e.vowel, e.split) == ("s01", vowel, "test"))
+            assert cli.main(["identify", test.path, "--models", str(models_path), "--vowel", vowel]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:-3]
+            assert [row.split()[0] for row in rows] == speakers
+
     def test_evaluate_writes_reports(self, enrolled, small_corpus, tmp_path, capsys):
         models_path, _ = enrolled
         manifest_path, _ = small_corpus
@@ -517,6 +635,26 @@ class TestSynthCommand:
         assert code == 0
         assert (tmp_path / "c" / "manifest.csv").exists()
         assert "20 utterances" in capsys.readouterr().out
+
+    def test_rate_is_the_output_rate_alone(self, tmp_path):
+        # no pipeline pitch bound applies: 30 Hz with a 40 Hz formant at 99 Hz is valid
+        out = tmp_path / "v.txt"
+        code = cli.main([
+            "synth", "vowel", "--out", str(out), "--f0", "30", "--formants", "40:10",
+            "--sample-rate", "99", "--duration", "1",
+        ])
+        assert code == 0
+        assert len(out.read_text().split()) == 99 + 2 * 5  # 1 s plus two 0.05 s pads, rounded
+
+    @pytest.mark.parametrize("what", ["vowel", "corpus"])
+    @pytest.mark.parametrize("rate", ["0", "-8000", "1" + "0" * 400], ids=["0", "negative", "1e400"])
+    def test_bad_rate_is_data_error_naming_it(self, what, rate, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        target = ["--out", "v.txt", "--f0", "120"] if what == "vowel" else ["--out", "c"]
+        assert cli.main(["synth", what, *target, "--sample-rate", rate]) == 2
+        err = capsys.readouterr().err
+        assert f"error: sample_rate_hz must be finite and positive, at most 1.79769e+308, got {rate}\n" in err
+        assert not any(tmp_path.iterdir())
 
     def test_custom_formants(self, tmp_path):
         out = tmp_path / "v.txt"

@@ -84,6 +84,19 @@ class TestSynthVowel:
         with pytest.raises(ValueError, match="formant bandwidth must be finite and positive"):
             synth_vowel(100.0, ((500.0, bandwidth),), 0.2)
 
+    @pytest.mark.parametrize("rate", [0, -16000, 10**400, np.inf, np.nan],
+                             ids=["0", "negative", "1e400", "inf", "nan"])
+    def test_rate_must_be_positive_and_fit_a_float(self, rate):
+        # an int past the largest float would overflow the sample counts
+        with pytest.raises(ValueError) as refused:
+            synth_vowel(120.0, VOWEL_FORMANTS["a"], 0.35, sample_rate_hz=rate)
+        assert str(refused.value) == f"sample_rate_hz must be finite and positive, at most 1.79769e+308, got {rate}"
+
+    def test_any_rate_above_twice_the_voice_is_synthesized(self):
+        # the pipeline's pitch bounds do not apply: 30 Hz at 99 Hz is a valid output
+        buf = synth_vowel(30.0, ((40.0, 10.0),), 1.0, sample_rate_hz=99)
+        assert buf.sample_rate_hz == 99 and len(buf) == 99
+
 
 class TestSyntheticCorpus:
     def test_counts_and_manifest(self, tmp_path):
@@ -120,6 +133,12 @@ class TestSyntheticCorpus:
         # the lowest voices have periods of about 170 samples at 16 kHz
         with pytest.raises(ValueError, match="^f0 .* Hz: a period of 1[67][0-9] samples exceeds the 160 voiced"):
             make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1, duration_s=0.01)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("rate", [0, 10**400], ids=["0", "1e400"])
+    def test_bad_rate_rejected_before_the_directory_is_made(self, rate, tmp_path):
+        with pytest.raises(ValueError, match=f"^sample_rate_hz must be finite and positive, .*, got {rate}$"):
+            make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1, sample_rate_hz=rate)
         assert not (tmp_path / "c").exists()
 
     def test_single_speaker_rejected(self, tmp_path):
@@ -328,6 +347,18 @@ class TestRunEvaluation:
         assert report.systems["combined"].total + len(report.failed) == len(tests) + 1
         assert f"failed: 1 of {len(tests) + 1} test files" in format_report(report)
         assert "failed" not in format_report(run_evaluation(entries, small_models, config))
+
+    def test_pass_in_which_every_file_fails_is_refused(self, small_corpus, small_models, config, tmp_path, caplog):
+        # an all-zero report would read as a pass that rejected every trial
+        _, entries = small_corpus
+        silent = tmp_path / "silent.txt"
+        silent.write_text("0\n" * 3000)
+        tests = [replace(e, path=str(silent)) for e in entries if e.split == "test"]
+        with caplog.at_level("WARNING"), pytest.raises(ValueError) as refused:
+            run_evaluation(tests, small_models, config)
+        assert str(refused.value) == f"no test file could be scored: failed {len(tests)} of {len(tests)} test files"
+        # one file that scores is a report
+        assert run_evaluation([*tests, *entries], small_models, config).systems["combined"].total == len(tests)
 
     def test_missing_vowel_models_rejected(self, small_corpus, config):
         _, entries = small_corpus

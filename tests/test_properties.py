@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,7 +37,7 @@ from psverify.features import (
 from psverify.evaluation import VOWEL_FORMANTS, load_manifest, synth_vowel
 from psverify.modeling import ModelSet, SpeakerModel, load_models, save_models, speaker_id_error
 from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
-from psverify.pitch import extract_half_peaks
+from psverify.pitch import compute_stats, extract_half_peaks
 from psverify.signal_io import SampleBuffer, load_text_samples
 
 PROPERTY = settings(max_examples=200, deadline=None)
@@ -202,6 +202,56 @@ def test_marks_increase_within_period_bounds(x):
     assert 0 <= marks[0] and marks[-1] < len(trimmed)
     assert np.all(gaps > 0)
     assert np.all((gaps >= min_period) & (gaps <= max_period)), gaps
+
+
+@st.composite
+def noisy_vowels(draw):
+    """A synthetic vowel, with or without noise, a DC offset and silence around it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vowel = draw(st.sampled_from(sorted(VOWEL_FORMANTS)))
+    x = synth_vowel(
+        draw(st.floats(60.0, 400.0)), VOWEL_FORMANTS[vowel], draw(st.floats(0.1, 0.4)), RATE,
+        seed=int(rng.integers(1000)), silence_pad_s=draw(st.sampled_from([0.0, 0.05])),
+    ).samples
+    noise = draw(st.sampled_from([0.0, 0.01, 0.3])) * np.max(np.abs(x)) * rng.normal(0.0, 1.0, x.size)
+    return x + noise + draw(st.sampled_from([0.0, 0.5]))
+
+
+@PROPERTY
+@given(noisy_vowels())
+def test_negation_swaps_the_signed_counts_and_keeps_the_cepstra(x):
+    # negation swaps the halves' polarities and crests with troughs; a stage
+    # that refuses the signal refuses its negation with the same message
+    def refused_alike(exc, stage, negated_buffer):
+        with pytest.raises(ValueError) as refused:
+            stage(negated_buffer)
+        assert str(refused.value) == str(exc)
+
+    try:
+        trimmed = preprocess_signal(SampleBuffer(x, RATE))
+    except ValueError as exc:
+        return refused_alike(exc, preprocess_signal, SampleBuffer(-x, RATE))
+    negated = preprocess_signal(SampleBuffer(-x, RATE))
+    assert negated.samples.tobytes() == (-trimmed.samples).tobytes()
+    # the rules break the symmetry where choose_polarity ties, picking +1, and
+    # at a strict extremum centred on exactly 0, which counts as negative
+    stats = compute_stats(extract_half_peaks(trimmed))
+    (ampv_pos, std_pos, _), (ampv_neg, std_neg, _) = stats[1], stats[-1]
+    assume(ampv_pos > 0.0 and ampv_neg > 0.0 and std_pos / ampv_pos != std_neg / ampv_neg)
+    a, c, b = trimmed.samples[:-2], trimmed.samples[1:-1], trimmed.samples[2:]
+    assume(not np.any((c == 0.0) & (a * b > 0.0)))
+    try:
+        marks = detect_marks(trimmed)
+        vector = composed_vector(trimmed, marks)
+    except ValueError as exc:
+        return refused_alike(exc, lambda buffer: composed_vector(buffer, detect_marks(buffer)), negated)
+    negated_marks = detect_marks(negated)
+    assert negated_marks.polarity_used == -marks.polarity_used
+    assert negated_marks.mark_indices.tolist() == marks.mark_indices.tolist()
+    negated_vector = composed_vector(negated, negated_marks)
+    poc, pot, nec, net = vector[:4].tolist()
+    assert negated_vector[:4].tolist() == [net, nec, pot, poc]
+    assert negated_vector[4:].tobytes() == vector[4:].tobytes()
 
 
 @PROPERTY
