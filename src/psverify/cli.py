@@ -33,6 +33,13 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(USAGE_ERROR)
 
+    # a sub-command's parser refuses its own leftovers, so the usage printed is the sub-command's
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _formants(text):
     """A --formants value: at least one CENTRE[:BANDWIDTH], split by commas; bandwidths default to 60 Hz."""

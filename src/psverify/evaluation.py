@@ -9,8 +9,10 @@ combined system, with accuracy computed on accepted trials.
 import csv
 import io
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 
@@ -138,6 +140,17 @@ WARMUP_S = 0.1  # resonator lead-in synthesized and discarded
 # largest relative shift of a corpus utterance's F0 and formants, drawn once per utterance
 UTTERANCE_F0_SPREAD = 0.02
 UTTERANCE_FORMANT_SPREAD = 0.03
+# the resonators' impulse response is cut once the slowest one's envelope
+# r**m falls below 2**-DECAY_BITS; a bandwidth whose response would outlast
+# MAX_RESPONSE samples (about 0.2 Hz at 16 kHz) is refused
+DECAY_BITS = 60
+MAX_RESPONSE = 2**20
+
+
+def _decay_samples(bandwidth: float, sample_rate_hz: int) -> float:
+    """Samples for a resonator of this bandwidth to decay below 2**-DECAY_BITS:
+    its poles have radius r = exp(-pi * bandwidth / rate)."""
+    return DECAY_BITS * math.log(2) * sample_rate_hz / (math.pi * bandwidth)
 
 
 def _check_sizes(duration_s: float, silence_pad_s: float, sample_rate_hz: int) -> None:
@@ -171,7 +184,41 @@ def _check_voice(f0_hz: float, formants, sample_rate_hz: int, duration_s: float)
             raise ValueError(f"formant centre {centre} Hz beyond Nyquist")
         if not 0 < bandwidth < np.inf:
             raise ValueError(f"formant bandwidth must be finite and positive, got {bandwidth}")
+        if not _decay_samples(bandwidth, sample_rate_hz) <= MAX_RESPONSE:
+            raise ValueError(f"formant bandwidth {bandwidth} Hz too narrow for rate {sample_rate_hz}: "
+                             f"its resonance outlasts {MAX_RESPONSE} samples")
     return formants
+
+
+@lru_cache(maxsize=2)
+def _unit_delays(size: int) -> tuple:
+    """z**-1 and z**-2 on the real-FFT grid of `size` points, read-only."""
+    z = np.exp(-2j * np.pi * np.arange(size // 2 + 1) / size)
+    z2 = z * z
+    z.flags.writeable = z2.flags.writeable = False
+    return z, z2
+
+
+def _impulse_response(formants, sample_rate_hz: int) -> np.ndarray:
+    """The impulse response of the resonator cascade, up to where the
+    narrowest resonator has decayed: one inverse real FFT of the reciprocal
+    of the sections' product on a grid at least that long."""
+    if not formants:
+        return np.ones(1)
+    decay = _decay_samples(min(bandwidth for _, bandwidth in formants), sample_rate_hz)
+    size = 1 << (math.ceil(decay) - 1).bit_length()
+    z, z2 = _unit_delays(size)
+    denominator = np.ones_like(z)
+    for centre, bandwidth in formants:
+        r = np.exp(-np.pi * bandwidth / sample_rate_hz)
+        theta = 2.0 * np.pi * centre / sample_rate_hz
+        # one section 1 - 2r cos(theta) z**-1 + r**2 z**-2 at a time: the three
+        # expanded into one 6th-order polynomial lose two to three digits
+        section = z * (-2.0 * r * np.cos(theta))
+        section += 1.0
+        section += r * r * z2
+        denominator *= section
+    return np.fft.irfft(np.divide(1.0, denominator, out=denominator), size)
 
 
 def synth_vowel(
@@ -192,9 +239,6 @@ def synth_vowel(
     stays exactly round(rate/f0) for oracle use. Optional zero-padding
     surrounds the voiced part with silence.
     """
-    # imported here: scipy.signal alone takes most of a cold `import psverify.cli`
-    from scipy.signal import lfilter
-
     _check_sizes(duration_s, silence_pad_s, sample_rate_hz)
     formants = _check_voice(f0_hz, formants, sample_rate_hz, duration_s)
     period = int(round(sample_rate_hz / f0_hz))
@@ -202,14 +246,18 @@ def synth_vowel(
     warmup = int(round(WARMUP_S * sample_rate_hz))
     rng = np.random.default_rng(seed)
     offset = int(rng.integers(0, period))
-    source = np.zeros(warmup + n)
-    source[offset::period] = 1.0
-    out = source
-    for centre, bandwidth in formants:
-        r = np.exp(-np.pi * bandwidth / sample_rate_hz)
-        theta = 2.0 * np.pi * centre / sample_rate_hz
-        out = lfilter([1.0], [1.0, -2.0 * r * np.cos(theta), r * r], out)
-    out = out[warmup:]
+    # from the first pulse on, row i of one-period rows is the impulse
+    # response's rows 0..i summed: one pulse per period, each adding a copy
+    rows = -(-(warmup + n - offset) // period)
+    out = np.zeros(offset + rows * period)
+    response = _impulse_response(formants, sample_rate_hz)[:rows * period]
+    out[offset:offset + len(response)] = response
+    train = out[offset:].reshape(rows, period)
+    # past the response's last row each row adds nothing: the sums repeat
+    support = -(-len(response) // period)
+    np.cumsum(train[:support], axis=0, out=train[:support])
+    train[support:] = train[support - 1]
+    out = out[warmup:warmup + n]
     if silence_pad_s > 0:
         pad = np.zeros(int(round(silence_pad_s * sample_rate_hz)))
         out = np.concatenate((pad, out, pad))

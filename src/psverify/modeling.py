@@ -202,8 +202,9 @@ def save_models(model_set: ModelSet, path) -> None:
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for _, matrix, counts in columns:
-            fh.write(matrix.astype("<f8", copy=False).tobytes())
-            fh.write(counts.astype("<i8", copy=False).tobytes())
+            # the columns' own buffers when they are already little-endian and contiguous
+            fh.write(np.ascontiguousarray(matrix, "<f8").data)
+            fh.write(np.ascontiguousarray(counts, "<i8").data)
 
 
 def load_models(path) -> ModelSet:
@@ -212,42 +213,47 @@ def load_models(path) -> ModelSet:
     id, a body whose size the id lines do not fix, a non-finite value or a
     count below 1."""
     path = Path(path)
-    header, *lines = path.read_bytes().split(b"\n", len(VOWELS) + 1)
-    try:
-        if header != FORMAT_HEADER.encode():
-            raise ValueError(f"not a {FORMAT_HEADER!r} model file; run enroll again to rebuild it")
-        if len(lines) <= len(VOWELS):
-            raise ValueError("file ends inside the speaker id lines")
-        body = lines.pop()
-        ids_of, interned = [], {}  # id text -> its interned ids, shared by equal lines
-        for lineno, (vowel, line) in enumerate(zip(VOWELS, lines), 2):
-            name, sep, tail = line.decode("utf-8").partition(" ")
-            if name != vowel:
-                raise ValueError(f"line {lineno}: expected the speaker ids of vowel {vowel!r}")
-            ids = interned.get(tail) if sep else ()
-            if ids is None:
-                ids = tail.split(" ")
-                # equal exactly when every id passes speaker_id_error
-                if tail.split() != ids:
-                    error = next(filter(None, map(speaker_id_error, ids)))
-                    raise ValueError(f"line {lineno}: {error}")
-                ids = interned[tail] = tuple(map(sys.intern, ids))
-            ids_of.append(ids)
-        row_bytes = 8 * (MODEL_DIM + 1)
-        size = row_bytes * sum(map(len, ids_of))
-        if len(body) != size:
-            raise ValueError(f"model data holds {len(body)} bytes, the id lines fix {size}")
-        model_set, offset = ModelSet(), 0
-        for vowel, ids in zip(VOWELS, ids_of):
-            n = len(ids)
-            matrix = np.frombuffer(body, "<f8", n * MODEL_DIM, offset).reshape(n, MODEL_DIM)
-            counts = np.frombuffer(body, "<i8", n, offset + 8 * n * MODEL_DIM)
-            offset += n * row_bytes
-            if not np.isfinite(matrix).all():
-                raise ValueError(f"vowel {vowel!r}: model values must be finite")
-            if not (counts >= 1).all():
-                raise ValueError(f"vowel {vowel!r}: utterance counts must be at least 1")
-            model_set._merge(vowel, ids, matrix, counts)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        header, *lines = [fh.readline() for _ in range(len(VOWELS) + 1)]
+        try:
+            if header.removesuffix(b"\n") != FORMAT_HEADER.encode():
+                raise ValueError(f"not a {FORMAT_HEADER!r} model file; run enroll again to rebuild it")
+            if not lines[-1].endswith(b"\n"):
+                raise ValueError("file ends inside the speaker id lines")
+            ids_of, interned = [], {}  # id text -> its interned ids, shared by equal lines
+            for lineno, (vowel, line) in enumerate(zip(VOWELS, lines), 2):
+                name, sep, tail = line[:-1].decode("utf-8").partition(" ")
+                if name != vowel:
+                    raise ValueError(f"line {lineno}: expected the speaker ids of vowel {vowel!r}")
+                ids = interned.get(tail) if sep else ()
+                if ids is None:
+                    ids = tail.split(" ")
+                    # equal exactly when every id passes speaker_id_error
+                    if tail.split() != ids:
+                        error = next(filter(None, map(speaker_id_error, ids)))
+                        raise ValueError(f"line {lineno}: {error}")
+                    ids = interned[tail] = tuple(map(sys.intern, ids))
+                ids_of.append(ids)
+            row_bytes = 8 * (MODEL_DIM + 1)
+            size = row_bytes * sum(map(len, ids_of))
+            # the body is read straight into a buffer of its own, with no copy:
+            # the columns are views of it, 8-byte aligned wherever the id lines
+            # end (numpy's arithmetic is slower over unaligned float64)
+            body = np.empty(size, np.uint8)
+            held = fh.readinto(body) + len(fh.read())
+            if held != size:
+                raise ValueError(f"model data holds {held} bytes, the id lines fix {size}")
+            model_set, offset = ModelSet(), 0
+            for vowel, ids in zip(VOWELS, ids_of):
+                n = len(ids)
+                matrix = np.frombuffer(body, "<f8", n * MODEL_DIM, offset).reshape(n, MODEL_DIM)
+                counts = np.frombuffer(body, "<i8", n, offset + 8 * n * MODEL_DIM)
+                offset += n * row_bytes
+                if not np.isfinite(matrix).all():
+                    raise ValueError(f"vowel {vowel!r}: model values must be finite")
+                if not (counts >= 1).all():
+                    raise ValueError(f"vowel {vowel!r}: utterance counts must be at least 1")
+                model_set._merge(vowel, ids, matrix, counts)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return model_set

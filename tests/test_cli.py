@@ -238,9 +238,9 @@ class TestSettingsSurface:
 
     @pytest.mark.parametrize("argv, message", [
         # "--m" is a setting's prefix only before the command; after it, the command's parser decides
-        (["preprocess", "in.txt", "out.txt", "--m", "3"], "psverify: error: unrecognized arguments: --m 3"),
+        (["preprocess", "in.txt", "out.txt", "--m", "3"], "psverify preprocess: error: unrecognized arguments: --m 3"),
         (["synth", "vowel", "--out", "v.txt", "--f0", "120", "--m", "3"],
-         "psverify: error: unrecognized arguments: --m 3"),
+         "psverify synth vowel: error: unrecognized arguments: --m 3"),
         (["features", "x.txt", "--m", "3"],
          "psverify features: error: ambiguous option: --m could match --min-f0, --max-f0"),
         (["enroll", "--manifest", "m.csv", "--out", "m.bin", "--m", "3"],
@@ -254,6 +254,38 @@ class TestSettingsSurface:
         assert exc.value.code == 1
         assert capsys.readouterr().err.splitlines()[-1] == message
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, argv, leftovers", [
+        ("preprocess", ["preprocess", "a", "b", "--frame-len", "10"], "--frame-len 10"),
+        ("pitch-marks", ["pitch-marks", "x.txt", "--bogus", "1"], "--bogus 1"),
+        ("features", ["features", "x.txt", "--bogus", "1"], "--bogus 1"),
+        ("enroll", ["enroll", "--manifest", "m.csv", "--out", "m.bin", "extra"], "extra"),
+        ("identify", ["identify", "x.txt", "--models", "m.bin", "--vowel", "a", "--bogus"], "--bogus"),
+        ("verify", ["verify", "x.txt", "--models", "m.bin", "--vowel", "a", "--claim", "s01", "y.txt"], "y.txt"),
+        ("evaluate", ["evaluate", "--models", "m.bin", "--manifest", "m.csv", "--report", "r", "--bogus"],
+         "--bogus"),
+        ("synth", ["synth", "--bogus", "vowel", "--out", "v.txt", "--f0", "120"], "--bogus"),
+        ("synth vowel", ["synth", "vowel", "--out", "v.txt", "--f0", "120", "--bogus"], "--bogus"),
+        ("synth corpus", ["synth", "corpus", "--out", "c", "--bogus", "1"], "--bogus 1"),
+    ])
+    def test_leftover_arguments_get_the_commands_usage(self, command, argv, leftovers, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        usage, *_, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith(f"usage: psverify {command} [-h]")
+        assert error == f"psverify {command}: error: unrecognized arguments: {leftovers}"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_leftover_arguments_before_a_command_get_the_top_level_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--bogus", "features", "x.txt"])
+        assert exc.value.code == 1
+        usage, *_, error = capsys.readouterr().err.splitlines()
+        assert usage == "usage: psverify [-h] COMMAND ..."
+        assert error == "psverify: error: unrecognized arguments: --bogus"
 
     @pytest.mark.parametrize("argv, flag", [
         (["identify", "x.txt", "--models", "m.bin", "--vowel", "a", "--cepstral-weights", "abc"],
@@ -692,6 +724,9 @@ class TestSynthCommand:
         (["corpus", "--silence-pad", "1e308"], "silence_pad_s 1e+308 s overflows a sample count at 16000 Hz"),
         # a period longer than the voiced part, where no impulse would land
         (["vowel", "--f0", "0.001"], "f0 0.001 Hz: a period of 16000000 samples exceeds the 8000 voiced samples"),
+        # a bandwidth whose resonance would not decay within 2**20 samples
+        (["vowel", "--formants", "500:0.1"],
+         "formant bandwidth 0.1 Hz too narrow for rate 16000: its resonance outlasts 1048576 samples"),
     ])
     def test_bad_size_is_data_error(self, argv, message, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

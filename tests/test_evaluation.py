@@ -92,10 +92,54 @@ class TestSynthVowel:
             synth_vowel(120.0, VOWEL_FORMANTS["a"], 0.35, sample_rate_hz=rate)
         assert str(refused.value) == f"sample_rate_hz must be finite and positive, at most 1.79769e+308, got {rate}"
 
+    def test_bandwidth_too_narrow_to_decay_in_time(self):
+        # 2**20 samples for the envelope to fall below 2**-60: about 0.2 Hz at 16 kHz
+        synth_vowel(100.0, ((500.0, 0.21),), 0.2)
+        with pytest.raises(ValueError) as refused:
+            synth_vowel(100.0, ((500.0, 60.0), (900.0, 0.2)), 0.2)
+        assert str(refused.value) == ("formant bandwidth 0.2 Hz too narrow for rate 16000: "
+                                      "its resonance outlasts 1048576 samples")
+
+    def test_train_without_formants_is_exactly_zeros_and_ones(self):
+        buf = synth_vowel(123.0, (), 0.3, 16000, seed=8, silence_pad_s=0.01)
+        ones = np.flatnonzero(buf.samples)
+        assert set(buf.samples[ones]) == {1.0}
+        assert np.all(np.diff(ones) == 130)
+
     def test_any_rate_above_twice_the_voice_is_synthesized(self):
         # the pipeline's pitch bounds do not apply: 30 Hz at 99 Hz is a valid output
         buf = synth_vowel(30.0, ((40.0, 10.0),), 1.0, sample_rate_hz=99)
         assert buf.sample_rate_hz == 99 and len(buf) == 99
+
+
+def lfilter_vowel(f0_hz, formants, duration_s, sample_rate_hz, seed):
+    """The resonators as a cascade of scipy's direct-form filters over the
+    whole impulse train, lead-in included, as the generator once ran them."""
+    from scipy.signal import lfilter
+
+    period = round(sample_rate_hz / f0_hz)
+    warmup = round(evaluation.WARMUP_S * sample_rate_hz)
+    out = np.zeros(warmup + round(duration_s * sample_rate_hz))
+    out[int(np.random.default_rng(seed).integers(0, period))::period] = 1.0
+    for centre, bandwidth in formants:
+        r = np.exp(-np.pi * bandwidth / sample_rate_hz)
+        theta = 2.0 * np.pi * centre / sample_rate_hz
+        out = lfilter([1.0], [1.0, -2.0 * r * np.cos(theta), r * r], out)
+    return out[warmup:]
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_synth_vowel_matches_a_recursive_filter_cascade(case):
+    rng = np.random.default_rng(case)
+    rate = int(rng.choice([8000, 11025, 16000, 22050, 44100]))
+    f0 = rng.uniform(60.0, 400.0)
+    formants = [(rng.uniform(100.0, rate / 2 - 100.0), rng.uniform(20.0, 500.0))
+                for _ in range(int(rng.integers(1, 4)))]
+    duration, seed = rng.uniform(0.05, 0.6), int(rng.integers(0, 2**31))
+    expected = lfilter_vowel(f0, formants, duration, rate, seed)
+    samples = synth_vowel(f0, formants, duration, rate, seed=seed).samples
+    assert samples.shape == expected.shape
+    assert np.max(np.abs(samples - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestSyntheticCorpus:
@@ -133,6 +177,13 @@ class TestSyntheticCorpus:
         # the lowest voices have periods of about 170 samples at 16 kHz
         with pytest.raises(ValueError, match="^f0 .* Hz: a period of 1[67][0-9] samples exceeds the 160 voiced"):
             make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1, duration_s=0.01)
+        assert not (tmp_path / "c").exists()
+
+    def test_narrow_bandwidth_rejected_before_the_directory_is_made(self, tmp_path, monkeypatch):
+        formants = dict(evaluation.VOWEL_FORMANTS, u=((300.0, 60.0), (870.0, 0.1), (2240.0, 200.0)))
+        monkeypatch.setattr(evaluation, "VOWEL_FORMANTS", formants)
+        with pytest.raises(ValueError, match="^formant bandwidth 0.1 Hz too narrow for rate 16000"):
+            make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1)
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("rate", [0, 10**400], ids=["0", "1e400"])

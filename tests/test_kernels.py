@@ -1,5 +1,5 @@
-"""The retired PSVERIFY_NUMBA flag is inert, and the command line loads
-no module it does not need.
+"""The retired PSVERIFY_NUMBA flag is inert, the command line loads no
+module it does not need, and generating a corpus loads no scipy module.
 
 psverify once shipped numba-compiled kernels that PSVERIFY_NUMBA=0 (or
 false/no/off) switched off. The pipeline now has one numpy path, so an
@@ -22,8 +22,8 @@ from psverify.signal_io import write_text_samples
 # The flag was read once at import, so only a fresh interpreter can show
 # that it no longer matters. The child must import the very copy of
 # psverify under test, must not find the old kernel module or load numba
-# (nor scipy.signal, which only the synthetic fixtures need), and prints
-# its feature vector for the parent to compare bit for bit.
+# (nor scipy.signal), and prints its feature vector for the parent to
+# compare bit for bit.
 CHILD = """
 import importlib.util, json, os, sys
 import psverify
@@ -45,13 +45,24 @@ def utterance(tmp_path_factory):
     return path, [float(v).hex() for v in vector]
 
 
-# scipy.signal is most of a cold `import psverify.cli`; only the synthetic
-# corpus generator may load it, on first use
+# scipy.signal would be most of a cold `import psverify.cli`
 CLI_CHILD = """
 import os, sys
 import psverify.cli
 assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
 assert "scipy.signal" not in sys.modules
+"""
+
+# the synthetic corpus generator runs its resonators on numpy alone: no
+# scipy module at all, so scipy is needed only by the tests and the benchmark
+CORPUS_CHILD = """
+import os, sys
+import psverify
+from psverify.evaluation import make_synthetic_corpus
+assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
+make_synthetic_corpus(sys.argv[2], n_speakers=2, train_per_vowel=1, test_per_vowel=1, seed=5)
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded
 """
 
 
@@ -83,6 +94,11 @@ def run_with_flag(value, utterance):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     run_child(CLI_CHILD)
+
+
+def test_corpus_generation_loads_no_scipy(tmp_path):
+    run_child(CORPUS_CHILD, str(tmp_path / "corpus"))
+    assert (tmp_path / "corpus" / "manifest.csv").is_file()
 
 
 def test_env_flag_selects_numpy_path(utterance):
