@@ -21,7 +21,7 @@ import numpy as np
 from .decision import DistanceWeights, agreed_speaker, score_against_models
 from .features import VOWELS
 from .modeling import ModelSet, build_model, speaker_id_error
-from .pipeline import PipelineConfig, features_of_files
+from .pipeline import PipelineConfig, features_of_files, split_across_processes
 from .signal_io import DEFAULT_SAMPLE_RATE_HZ, SampleBuffer, read_utf8_text, write_text_samples
 
 log = logging.getLogger(__name__)
@@ -278,9 +278,11 @@ def make_synthetic_corpus(
 
     Each synthetic speaker gets a distinct fundamental and a vocal-tract
     scale applied to the vowel formant table; every utterance shifts both
-    slightly so train and test samples differ. Every utterance is drawn and
-    checked before the directory is made. Returns (manifest_path, entries),
-    the entries as `load_manifest(manifest_path)` reads them.
+    slightly so train and test samples differ. Every utterance, its seed
+    included, is drawn and checked before the directory is made, so the
+    files are the same however `split_across_processes` shares them out; the
+    manifest follows the last. Returns (manifest_path, entries), the entries
+    as `load_manifest(manifest_path)` reads them.
     """
     if n_speakers < 2:
         raise ValueError("need at least two speakers")
@@ -308,10 +310,21 @@ def make_synthetic_corpus(
                 plan.append((entry, f0, _check_voice(f0, formants, sample_rate_hz, duration_s), utt_seed))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for entry, f0, formants, utt_seed in plan:
-        buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
-                             seed=utt_seed, silence_pad_s=silence_pad_s)
-        write_text_samples(buffer, out_dir / entry.path)
+
+    def write_share(part) -> list:
+        """None per utterance, but the first to fail gives its exception and ends the share."""
+        for i, (entry, f0, formants, utt_seed) in enumerate(part):
+            try:
+                buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
+                                     seed=utt_seed, silence_pad_s=silence_pad_s)
+                write_text_samples(buffer, out_dir / entry.path)
+            except Exception as exc:  # raised below, unless an earlier utterance failed
+                return [None] * i + [exc] + [None] * (len(part) - i - 1)
+        return [None] * len(part)
+
+    for failure in split_across_processes(write_share, plan):
+        if failure is not None:  # the earliest in plan order, as writing one by one would raise
+            raise failure
     manifest_path = out_dir / "manifest.csv"
     write_manifest([entry for entry, *_ in plan], manifest_path)
     return manifest_path, load_manifest(manifest_path)

@@ -21,9 +21,10 @@ from .pitch import (
 )
 from .signal_io import SampleBuffer
 
-# A pass gives each process at least this many files, or runs in this
-# process alone: forking and joining one child of a 110 MB process takes
-# about 4 ms on a 2-CPU x86-64 host, the work of one or two text files.
+# split_across_processes gives each process at least this many items, or runs
+# in this process alone: forking, piping and joining one child of a 40 MB
+# process takes 3.7-4.8 ms on a 2-CPU x86-64 host, the work of one or two
+# feature files or corpus utterances (synthesis and text write) there.
 MIN_FILES_PER_WORKER = 16
 
 
@@ -132,25 +133,31 @@ def _features_of_share(files, config: PipelineConfig) -> list:
     return results
 
 
-def _share_in_child(files, config: PipelineConfig, conn) -> None:
-    """A forked child's share, sent to the parent as (True, results) or as
-    (False, the exception computing them raised). Ctrl-C is left to the
+def _share_in_child(share, items, conn) -> None:
+    """A forked child's share, sent to the parent as (True, share(items)) or
+    as (False, the exception computing it raised). Ctrl-C is left to the
     parent, which kills its children."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        message = True, _features_of_share(files, config)
+        message = True, share(items)
     except Exception as exc:
         message = False, exc
     conn.send(message)
 
 
-def _split_across_processes(files, config: PipelineConfig, shares: int) -> list:
-    """features_of_files with share k of `shares` being files[k::shares]:
-    this process computes share 0 while one forked child computes each
-    other. Every child is joined before this returns; when the pass fails
-    or is interrupted, those still running are killed first. An exception
-    a child raises is raised here, and a child that dies, as one the OOM
-    killer ends does, fails the pass with a ChildProcessError."""
+def split_across_processes(share, items) -> list:
+    """share(items), for a share that maps a list to one result per item. When
+    each of n usable CPUs gets MIN_FILES_PER_WORKER items, this process
+    computes share(items[0::n]) and one forked child each share(items[k::n]).
+    Every child is joined before this returns; when the work fails or is
+    interrupted, those still running are killed first. An exception a child
+    raises is raised here, and a child that dies, as one the OOM killer ends
+    does, is a ChildProcessError."""
+    items = list(items)
+    shares = min(_usable_cpus(), len(items) // MIN_FILES_PER_WORKER)
+    # a fork copies the locks other threads hold, so a threaded caller stays in-process
+    if shares < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return share(items)
     import multiprocessing
 
     # forked, not spawned: a spawned child imports numpy, about 300 ms
@@ -159,12 +166,12 @@ def _split_across_processes(files, config: PipelineConfig, shares: int) -> list:
     try:
         for k in range(1, shares):
             reader, writer = context.Pipe(duplex=False)
-            child = context.Process(target=_share_in_child, args=(files[k::shares], config, writer))
+            child = context.Process(target=_share_in_child, args=(share, items[k::shares], writer))
             children.append((child, reader))
             child.start()
             writer.close()  # so the reader sees EOF if the child dies
-        results = [None] * len(files)
-        results[0::shares] = _features_of_share(files[0::shares], config)
+        results = [None] * len(items)
+        results[0::shares] = share(items[0::shares])
         for k, (_, reader) in enumerate(children, 1):
             try:
                 ok, value = reader.recv()
@@ -190,15 +197,9 @@ def features_of_files(files, config: PipelineConfig = PipelineConfig()) -> list:
     """UtteranceFeatures, or the PipelineError or OSError it fails with, for
     each (path, vowel), in order. Each file goes alone as far as its temporal
     features and cepstral lags; then the cepstral frames of all are solved in
-    one batch. A pass that gives each usable CPU MIN_FILES_PER_WORKER files
-    is split by stride into one share per CPU, each computed that way in its
-    own process; batch rows are independent, so results are the same."""
-    files = list(files)
-    shares = min(_usable_cpus(), len(files) // MIN_FILES_PER_WORKER)
-    # a fork copies the locks other threads hold, so a threaded caller stays in-process
-    if shares > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        return _split_across_processes(files, config, shares)
-    return _features_of_share(files, config)
+    one batch, in each process of split_across_processes; batch rows are
+    independent, so results are the same however the files are split."""
+    return split_across_processes(lambda part: _features_of_share(part, config), files)
 
 
 def utterance_features_from_file(

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import composed_vector, first_ill_conditioned, loop_cepstra
-from psverify import cli, features, pipeline
+from psverify import cli, evaluation, features, pipeline
 from psverify.evaluation import VOWEL_FORMANTS, make_synthetic_corpus, run_evaluation, synth_vowel
 from psverify.features import (
     LPC_ORDER,
@@ -508,10 +508,13 @@ class TestWorkers:
             features_of_files(mixed_pass)
         assert len(counted_forks) == pipeline._usable_cpus() - 1
         assert_no_child_left()
-        # 2 speakers x 5 vowels x 4 train files: a pass of 40, KILLED_FILE among them
+        # 2 speakers x 5 vowels x 4 train files: a pass of 40, KILLED_FILE among them,
+        # and a corpus large enough to be written by two processes
         manifest, _ = make_synthetic_corpus(tmp_path / "corpus", 2, 4, 0, seed=7)
+        assert len(counted_forks) == 2 * (pipeline._usable_cpus() - 1)
         assert cli.main(["enroll", "--manifest", str(manifest), "--out", str(tmp_path / "models.bin")]) == 2
         assert capsys.readouterr().err.endswith("error: a worker process died before the pass finished\n")
+        assert len(counted_forks) == 3 * (pipeline._usable_cpus() - 1)
         assert_no_child_left()
 
     def test_workers_leave_ctrl_c_to_the_parent(self, mixed_pass, solo_outcomes, monkeypatch, counted_forks):
@@ -558,3 +561,149 @@ class TestWorkers:
         assert_no_child_left()
         # the child was killed before it finished its share
         assert len(calls.read_text()) < len(mixed_pass[1::2])
+
+
+# 2 speakers x 5 vowels x (4 train + 1 test): MIN_FILES_PER_WORKER utterances
+# for each of three processes
+CORPUS = {"n_speakers": 2, "train_per_vowel": 4, "test_per_vowel": 1, "seed": 7}
+CORPUS_ARGS = ["--speakers", "2", "--train", "4", "--test", "1", "--seed", "7"]
+# the second utterance in plan order, in the child's share of a two-process write
+KILLED_UTTERANCE = "s01_a_train01.txt"
+# the file _write_recording_its_process appends "pid name" lines to
+WRITE_LOG = None
+
+
+def corpus_on(cpus, directory, monkeypatch):
+    """make_synthetic_corpus(directory, **CORPUS) with `cpus` usable CPUs."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+        return make_synthetic_corpus(directory, **CORPUS)
+
+
+def corpus_bytes(directory):
+    """name -> bytes of each file in a corpus directory, the manifest included."""
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+def _write_killing_its_worker(buffer, path):
+    """write_text_samples, except that the child handed KILLED_UTTERANCE dies
+    as one the OOM killer ends does."""
+    if os.path.basename(path) == KILLED_UTTERANCE:
+        assert multiprocessing.parent_process() is not None, "the test process would be killed"
+        os.kill(os.getpid(), signal.SIGKILL)
+    write_text_samples(buffer, path)
+
+
+def _write_recording_its_process(buffer, path):
+    """write_text_samples, after appending which process wrote the file to WRITE_LOG."""
+    with open(WRITE_LOG, "a") as fh:
+        fh.write(f"{os.getpid()} {os.path.basename(path)}\n")
+    write_text_samples(buffer, path)
+
+
+class TestCorpusWorkers:
+    """make_synthetic_corpus writes its utterances in the shares of
+    split_across_processes: by stride between this process and one forked
+    child per other usable CPU, two being assumed."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def solo(self, tmp_path, monkeypatch):
+        """(utterance names in plan order, corpus_bytes) of the corpus written by this process alone."""
+        _, entries = corpus_on(1, tmp_path / "solo", monkeypatch)
+        return [os.path.basename(e.path) for e in entries], corpus_bytes(tmp_path / "solo")
+
+    def test_every_split_writes_the_same_bytes(self, solo, tmp_path, monkeypatch, counted_forks):
+        names, expected = solo
+        assert len(names) == 3 * MIN_FILES_PER_WORKER + 2 and len(expected) == len(names) + 1
+        for cpus, forks in ((1, 0), (2, 1), (3, 3)):
+            corpus_on(cpus, tmp_path / str(cpus), monkeypatch)
+            assert len(counted_forks) == forks
+            assert_no_child_left()
+            assert corpus_bytes(tmp_path / str(cpus)) == expected
+
+    def test_caller_writes_the_first_stride(self, tmp_path, monkeypatch, counted_forks):
+        monkeypatch.setitem(globals(), "WRITE_LOG", tmp_path / "written.log")
+        monkeypatch.setattr(evaluation, "write_text_samples", _write_recording_its_process)
+        _, entries = make_synthetic_corpus(tmp_path / "corpus", **CORPUS)
+        assert_no_child_left()
+        (child,) = counted_forks
+        by_process = {os.getpid(): [], child: []}
+        for line in WRITE_LOG.read_text().splitlines():
+            pid, name = line.split(" ", 1)
+            by_process[int(pid)].append(name)
+        names = [os.path.basename(e.path) for e in entries]
+        assert by_process[os.getpid()] == names[0::2]
+        assert by_process[child] == names[1::2]
+
+    def test_small_corpus_or_threaded_caller_starts_no_process(self, solo, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("the corpus writer forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        # 2 x 5 x (2 + 1) utterances: fewer than MIN_FILES_PER_WORKER for each of two processes
+        _, entries = make_synthetic_corpus(tmp_path / "small", **{**CORPUS, "train_per_vowel": 2})
+        assert len(entries) < 2 * MIN_FILES_PER_WORKER
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            make_synthetic_corpus(tmp_path / "threaded", **CORPUS)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert corpus_bytes(tmp_path / "threaded") == solo[1]
+
+    # plan positions made directories: even ones are in this process's share, odd ones in the child's
+    @pytest.mark.parametrize("blocked", [[1], [2], [3, 4], [4, 7]],
+                             ids=["child", "caller", "child-first", "caller-first"])
+    def test_failed_write_raises_as_in_process(self, blocked, solo, tmp_path, monkeypatch, counted_forks):
+        names, _ = solo
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        for i in blocked:
+            (directory / names[i]).mkdir()
+        raised = []
+        for cpus in (1, 2):
+            with pytest.raises(OSError) as exc:
+                corpus_on(cpus, directory, monkeypatch)
+            raised.append((type(exc.value), str(exc.value)))
+            assert not (directory / "manifest.csv").exists()
+        assert len(counted_forks) == 1
+        assert_no_child_left()
+        assert raised[1] == raised[0]
+        assert raised[0][0] is IsADirectoryError and names[blocked[0]] in raised[0][1]
+
+    def test_dead_worker_is_a_data_error(self, tmp_path, monkeypatch, counted_forks, capsys):
+        monkeypatch.setattr(evaluation, "write_text_samples", _write_killing_its_worker)
+        with pytest.raises(ChildProcessError, match="a worker process died"):
+            make_synthetic_corpus(tmp_path / "corpus", **CORPUS)
+        assert len(counted_forks) == 1
+        assert_no_child_left()
+        assert not (tmp_path / "corpus" / "manifest.csv").exists()
+        assert cli.main(["synth", "corpus", "--out", str(tmp_path / "cli"), *CORPUS_ARGS]) == 2
+        assert capsys.readouterr().err.endswith("error: a worker process died before the pass finished\n")
+        assert len(counted_forks) == 2
+        assert_no_child_left()
+
+    def test_workers_leave_ctrl_c_to_the_parent(self, solo, tmp_path, monkeypatch, counted_forks):
+        real = evaluation.synth_vowel
+        parent = os.getpid()
+
+        def ctrl_c_in_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "synth_vowel", ctrl_c_in_worker)
+        try:
+            make_synthetic_corpus(tmp_path / "corpus", **CORPUS)
+        except KeyboardInterrupt:
+            pytest.fail("a worker's Ctrl-C ended the corpus write")
+        assert len(counted_forks) == 1
+        assert_no_child_left()
+        assert corpus_bytes(tmp_path / "corpus") == solo[1]
