@@ -6,7 +6,7 @@ rejected (and, in a verification setting, the speaker is asked to repeat).
 """
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,17 +25,23 @@ RETRY = "retry"
 
 @dataclass(frozen=True, eq=False)
 class DistanceWeights:
-    cepstral_weights: np.ndarray = field(default_factory=lambda: np.array(TOKHURA_CEPSTRAL_WEIGHTS))
-    temporal_weights: np.ndarray = field(default_factory=lambda: np.array(DEFAULT_TEMPORAL_WEIGHTS))
+    """Both weight vectors, kept as read-only copies of the values checked."""
+
+    cepstral_weights: np.ndarray = TOKHURA_CEPSTRAL_WEIGHTS
+    temporal_weights: np.ndarray = DEFAULT_TEMPORAL_WEIGHTS
 
     def __post_init__(self):
         for name, count in (("cepstral_weights", 12), ("temporal_weights", 4)):
-            w = np.asarray(getattr(self, name), dtype=np.float64)
+            w = np.array(getattr(self, name), dtype=np.float64)
             if w.shape != (count,):
                 raise ValueError(f"{name} needs {count} values, got {w.size if w.ndim == 1 else w.shape}")
             if not np.all((0 < w) & (w < np.inf)):
                 raise ValueError(f"{name} must be finite and positive")
+            w.flags.writeable = False
             object.__setattr__(self, name, w)
+
+
+_DEFAULT_WEIGHTS = DistanceWeights()
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +77,7 @@ class DistanceReport:
         object.__setattr__(self, "ids", tuple(ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationOutcome:
     accepted: bool
     speaker_id: str | None = None
@@ -96,7 +102,7 @@ def score_against_models(
     distance, sum_i w_i (x_i - m_i)^2 over the family's dimensions.
     """
     if weights is None:
-        weights = DistanceWeights()
+        weights = _DEFAULT_WEIGHTS
     ids, matrix = model_set.table(features.vowel)
     if not ids:
         raise ValueError(f"no enrolled model for vowel {features.vowel!r}")

@@ -9,6 +9,7 @@ utterance-count array. `SpeakerModel` is the record that goes in through
 
 import operator
 import sys
+from array import array
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -48,7 +49,7 @@ def _model_error(speaker_id: str, vowel: str, values: np.ndarray, n_utterances: 
     return None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpeakerModel:
     speaker_id: str
     vowel: str
@@ -77,6 +78,7 @@ class SpeakerModel:
 
 
 _NO_COLUMNS = ((), np.empty((0, MODEL_DIM)), np.empty(0, np.int64))
+_NO_QUEUE = ((), (), ())
 
 
 def _row(ids: tuple, sid) -> int | None:
@@ -118,7 +120,9 @@ class ModelSet:
 
     def __init__(self):
         self._columns = {}  # vowel -> (ids, matrix, counts)
-        self._queued = {}  # vowel -> {speaker id: (values, count)}
+        # vowel -> ({speaker id: None}, array("d") of the rows' values, array("q") of counts):
+        # a queued model costs its 136 bytes of data and an id, not an ndarray of its own
+        self._queued = {}
 
     @property
     def models(self) -> Mapping:
@@ -129,10 +133,13 @@ class ModelSet:
         """Queue one model; a binary search for a repeat, and no merge."""
         # one shared id string per speaker across the five vowels
         sid = sys.intern(model.speaker_id)
-        queued = self._queued.setdefault(model.vowel, {})
-        if sid in queued or _row(self._columns.get(model.vowel, _NO_COLUMNS)[0], sid) is not None:
+        ids, values, counts = self._queued.setdefault(model.vowel, ({}, array("d"), array("q")))
+        if sid in ids or _row(self._columns.get(model.vowel, _NO_COLUMNS)[0], sid) is not None:
             raise ValueError(f"duplicate model for {(sid, model.vowel)}")
-        queued[sid] = model.mean_features, model.n_utterances
+        ids[sid] = None
+        # native float64 bytes: a loaded model's row is little-endian on any host
+        values.frombytes(model.mean_features.astype(np.float64, copy=False).tobytes())
+        counts.append(model.n_utterances)
 
     def _merge(self, vowel: str, ids, matrix: np.ndarray, counts: np.ndarray) -> None:
         """Merge new columns, in any order, into the vowel's. Ids already
@@ -144,7 +151,10 @@ class ModelSet:
             ids = old_ids + ids
             matrix = np.concatenate((old_matrix, matrix))
             counts = np.concatenate((old_counts, counts))
-        if not all(map(operator.lt, ids, ids[1:])):
+        # a tuple that another vowel's columns hold is in order: load_models passes
+        # equal id lines as one tuple, so a file's shared line is walked once
+        in_order = any(ids is other for other, _, _ in self._columns.values())
+        if not in_order and not all(map(operator.lt, ids, ids[1:])):
             order = sorted(range(len(ids)), key=ids.__getitem__)
             ids = tuple(ids[i] for i in order)
             if not all(map(operator.lt, ids, ids[1:])):
@@ -156,10 +166,9 @@ class ModelSet:
 
     def _read(self, vowel: str):
         """The vowel's (ids, matrix, counts), queued models merged in."""
-        queued = self._queued.pop(vowel, None)
-        if queued:
-            rows, counts = zip(*queued.values())
-            self._merge(vowel, queued, np.stack(rows), np.array(counts, dtype=np.int64))
+        ids, values, counts = self._queued.pop(vowel, _NO_QUEUE)
+        if ids:
+            self._merge(vowel, ids, np.frombuffer(values).reshape(-1, MODEL_DIM), np.frombuffer(counts, np.int64))
         return self._columns.get(vowel, _NO_COLUMNS)
 
     def speakers(self) -> list[str]:

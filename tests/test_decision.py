@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,6 +125,29 @@ class TestWeights:
             DistanceWeights(temporal_weights=np.array([bad, 1.0, 1.0, 1.0]))
         with pytest.raises(ValueError, match="finite and positive"):
             DistanceWeights(cepstral_weights=np.r_[np.ones(11), bad])
+
+    def test_weights_cannot_change_after_the_checks(self):
+        rng = np.random.default_rng(16)
+        vec = np.concatenate((rng.uniform(0, 3, 4), rng.normal(0, 1, 12)))
+        model_set = set_of({f"s{i}": rng.normal(0, 1, 16) for i in range(5)})
+        cepstral, temporal = 2.0 * np.array(TOKHURA_CEPSTRAL_WEIGHTS), np.array([1.0, 2.0, 3.0, 4.0])
+        w = DistanceWeights(cepstral_weights=cepstral, temporal_weights=temporal)
+        before = report_key(score_against_models(features_from(vec), model_set, w))
+        # the caller's arrays are copied: changing them later has no effect
+        cepstral[0] = temporal[0] = -5.0
+        # the stored arrays and the default's are read-only
+        for stored in (w.cepstral_weights, w.temporal_weights, DistanceWeights().cepstral_weights):
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                stored *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.temporal_weights = np.ones(4)
+        assert report_key(score_against_models(features_from(vec), model_set, w)) == before
+        np.testing.assert_array_equal(w.temporal_weights, [1.0, 2.0, 3.0, 4.0])
+        # no weights scores with the defaults
+        default = score_against_models(features_from(vec), model_set)
+        assert report_key(default) == report_key(score_against_models(features_from(vec), model_set, DistanceWeights()))
 
 
 class TestScoreAgainstModels:

@@ -1,11 +1,17 @@
+import pickle
 import re
+import sys
+import tracemalloc
+from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psverify.decision import score_against_models
+from psverify import modeling
+from psverify.decision import VerificationOutcome, score_against_models
 from psverify.features import VOWELS, CepstralVector, TemporalFeatures, UtteranceFeatures
 from psverify.modeling import ModelSet, SpeakerModel, build_model, load_models, save_models
 
@@ -244,6 +250,15 @@ class TestIdLines:
             objects = {id(ids[ids.index(sid)]) for ids in (loaded.table(v)[0] for v in VOWELS) if sid in ids}
             assert len(objects) == 1
 
+    def test_a_shared_id_line_is_checked_for_order_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "models.bin"
+        p.write_bytes(v2_bytes([f"{vowel} s1 s2 s3" for vowel in VOWELS]) + v2_columns([([[1.0] * 16] * 3, [3] * 3)] * 5))
+        compared = []
+        monkeypatch.setattr(modeling, "operator", SimpleNamespace(lt=lambda a, b: compared.append(a) or a < b))
+        loaded = load_models(p)
+        assert compared == ["s1", "s2"]
+        assert all(loaded.table(vowel)[0] == ("s1", "s2", "s3") for vowel in VOWELS)
+
     @pytest.mark.parametrize("hand_made", [False, True])
     def test_loaded_matrices_are_read_only_contiguous_and_aligned(self, tmp_path, hand_made):
         p = tmp_path / "models.bin"
@@ -270,10 +285,18 @@ class TestModelValidation:
             SpeakerModel("spk", "a", np.zeros(15), 1)
 
     def test_duplicate_add_rejected(self):
-        model_set = ModelSet()
-        model_set.add(SpeakerModel("spk", "a", np.zeros(16), 1))
-        with pytest.raises(ValueError, match="duplicate"):
-            model_set.add(SpeakerModel("spk", "a", np.ones(16), 1))
+        # refused whether the first model is still queued or already merged,
+        # and the refused one leaves the set as it was
+        for merged in (False, True):
+            model_set = ModelSet()
+            model_set.add(SpeakerModel("spk", "a", np.zeros(16), 1))
+            if merged:
+                model_set.table("a")
+            with pytest.raises(ValueError, match="duplicate"):
+                model_set.add(SpeakerModel("spk", "a", np.ones(16), 2))
+            ids, matrix = model_set.table("a")
+            assert ids == ("spk",) and matrix.tobytes() == np.zeros((1, 16)).tobytes()
+            assert model_set.models["spk", "a"].n_utterances == 1
 
 
 class TestColumns:
@@ -310,6 +333,74 @@ class TestColumns:
     def test_count_must_be_an_integer(self):
         with pytest.raises(TypeError):
             SpeakerModel("spk", "a", np.zeros(16), 2.0)
+
+
+class TestQueue:
+    """Added models wait in flat per-vowel buffers until the vowel's next read."""
+
+    def test_adding_and_reading_10k_models_costs_about_their_data(self):
+        # the 10k models hold 1.3 MB of values and counts; an ndarray and a
+        # tuple kept per queued model took the peak to about 6 MB
+        rows = np.random.default_rng(17).normal(size=(10_000, 16))
+        # interned before tracing: the interpreter's table of interned strings is not the store's
+        ids = [sys.intern(f"s{j:05d}") for j in range(len(rows))]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model_set = ModelSet()
+            for sid, row in zip(ids, rows):
+                model_set.add(SpeakerModel(sid, "a", row, 1))
+            assert len(model_set.table("a")[0]) == len(rows)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    def test_merged_columns_are_the_added_rows_stacked_in_id_order(self, order):
+        rng = np.random.default_rng(18)
+        ids = [f"s{j:03d}" for j in range(60)]
+        rows, counts = rng.normal(size=(len(ids), 16)), rng.integers(1, 2**63 - 1, len(ids), endpoint=True)
+        added = {"sorted": range(len(ids)), "reversed": range(len(ids) - 1, -1, -1),
+                 "shuffled": rng.permutation(len(ids))}[order]
+        model_set = ModelSet()
+        for i in added:
+            model_set.add(SpeakerModel(ids[i], "e", rows[i], int(counts[i])))
+        got_ids, matrix = model_set.table("e")
+        assert got_ids == tuple(ids)
+        assert matrix.tobytes() == np.stack(list(rows)).tobytes()
+        assert [m.n_utterances for m in model_set.for_vowel("e")] == counts.tolist()
+
+    def test_counts_up_to_the_int64_limit_survive_the_queue(self):
+        model_set = ModelSet()
+        for sid, n in (("s1", 2**63 - 1), ("s2", 1), ("s3", 2**62 + 1)):
+            model_set.add(SpeakerModel(sid, "i", np.zeros(16), n))
+        assert [m.n_utterances for m in model_set.for_vowel("i")] == [2**63 - 1, 1, 2**62 + 1]
+
+
+class TestRecords:
+    def test_speaker_model_is_slotted_frozen_and_compared_by_identity(self):
+        added = SpeakerModel("spk", "a", np.arange(16.0), 3)
+        model_set = ModelSet()
+        model_set.add(added)
+        for model in (added, model_set.models["spk", "a"]):
+            assert not hasattr(model, "__dict__")
+            with pytest.raises(FrozenInstanceError):
+                model.n_utterances = 4
+            copy = pickle.loads(pickle.dumps(model))
+            assert (copy.speaker_id, copy.vowel, copy.n_utterances) == ("spk", "a", 3)
+            assert copy.mean_features.tobytes() == added.mean_features.tobytes()
+            assert model == model and copy != model
+        assert model_set.models["spk", "a"] != model_set.models["spk", "a"]
+
+    def test_verification_outcome_is_slotted_frozen_and_compared_by_value(self):
+        outcome = VerificationOutcome(True, "spk")
+        assert not hasattr(outcome, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            outcome.accepted = False
+        assert pickle.loads(pickle.dumps(outcome)) == outcome == VerificationOutcome(True, "spk")
+        assert hash(outcome) == hash(VerificationOutcome(True, "spk"))
+        assert outcome != VerificationOutcome(True, "other") and outcome != VerificationOutcome(False)
 
 
 # signed zero, subnormals and exponent boundaries must come back bit for bit
