@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import UtteranceFeatures
+from .features import LPC_ORDER, TEMPORAL_DIM, UtteranceFeatures
 from .modeling import ModelSet
 
 # Classical Tokhura weight table; the temporal block defaults to plain
@@ -31,7 +31,7 @@ class DistanceWeights:
     temporal_weights: np.ndarray = DEFAULT_TEMPORAL_WEIGHTS
 
     def __post_init__(self):
-        for name, count in (("cepstral_weights", 12), ("temporal_weights", 4)):
+        for name, count in (("cepstral_weights", LPC_ORDER), ("temporal_weights", TEMPORAL_DIM)):
             w = np.array(getattr(self, name), dtype=np.float64)
             if w.shape != (count,):
                 raise ValueError(f"{name} needs {count} values, got {w.size if w.ndim == 1 else w.shape}")
@@ -39,6 +39,9 @@ class DistanceWeights:
                 raise ValueError(f"{name} must be finite and positive")
             w.flags.writeable = False
             object.__setattr__(self, name, w)
+
+    def __reduce__(self):  # through the constructor, so a copy's arrays are checked and read-only too
+        return type(self), (self.cepstral_weights, self.temporal_weights)
 
 
 _DEFAULT_WEIGHTS = DistanceWeights()
@@ -76,6 +79,10 @@ class DistanceReport:
             object.__setattr__(self, name, values)
         object.__setattr__(self, "ids", tuple(ids))
 
+    def __reduce__(self):  # through the constructor, so a copy's arrays are checked and read-only too
+        return type(self), (self.cepstral_distances, self.temporal_distances,
+                            self.argmin_cepstral, self.argmin_temporal, self.ids)
+
 
 @dataclass(frozen=True, slots=True)
 class VerificationOutcome:
@@ -109,8 +116,8 @@ def score_against_models(
     sq = (matrix - features.vector) ** 2
     # einsum sums every row in the same order; BLAS gemv (`@`) rounds a row
     # differently by its position, so equal models would not tie exactly.
-    cep = np.einsum("ij,j->i", sq[:, 4:], weights.cepstral_weights)
-    tem = np.einsum("ij,j->i", sq[:, :4], weights.temporal_weights)
+    cep = np.einsum("ij,j->i", sq[:, TEMPORAL_DIM:], weights.cepstral_weights)
+    tem = np.einsum("ij,j->i", sq[:, :TEMPORAL_DIM], weights.temporal_weights)
     # ids are sorted and argmin takes the first minimum, so ties break
     # towards the lexicographically smallest speaker id
     return DistanceReport(cep, tem, ids[int(np.argmin(cep))], ids[int(np.argmin(tem))], ids)

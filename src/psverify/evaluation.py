@@ -11,7 +11,7 @@ import io
 import logging
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
@@ -79,15 +79,15 @@ class SystemCounts:
     total: int
     accepted: int
     correct: int
-    wrong: int
-    rejected: int
     vowel: str | None = None
 
-    def __post_init__(self):
-        if self.correct + self.wrong != self.accepted:
-            raise ValueError("correct + wrong must equal accepted")
-        if self.accepted + self.rejected != self.total:
-            raise ValueError("accepted + rejected must equal total")
+    @property
+    def wrong(self) -> int:
+        return self.accepted - self.correct
+
+    @property
+    def rejected(self) -> int:
+        return self.total - self.accepted
 
     @property
     def accuracy(self) -> float | None:
@@ -111,14 +111,13 @@ class EvalReport:
 def _tally(outcomes, pick, vowel=None) -> SystemCounts:
     """Count one system's trials; pick(outcome) is its speaker, None if rejected."""
     picks = [(pick(o), o.speaker_id) for o in outcomes]
-    total = len(picks)
     accepted = sum(1 for p, _ in picks if p is not None)
-    correct = sum(1 for p, true in picks if p == true)
-    return SystemCounts(total, accepted, correct, accepted - correct, total - accepted, vowel)
+    return SystemCounts(len(picks), accepted, sum(1 for p, true in picks if p == true), vowel)
 
 
 def aggregate_outcomes(outcomes, failed=()) -> EvalReport:
-    """Fold per-utterance outcomes into the two report tables."""
+    """Fold per-utterance outcomes into the two report tables; the systems
+    dict's order is the order in which reports list them."""
     outcomes = tuple(outcomes)
     combined = attrgetter("combined_pick")
     systems = {
@@ -282,7 +281,7 @@ def make_synthetic_corpus(
     included, is drawn and checked before the directory is made, so the
     files are the same however `split_across_processes` shares them out; the
     manifest follows the last. Returns (manifest_path, entries), the entries
-    as `load_manifest(manifest_path)` reads them.
+    with their paths under `out_dir`, as `load_manifest(manifest_path)` reads them.
     """
     if n_speakers < 2:
         raise ValueError("need at least two speakers")
@@ -311,23 +310,23 @@ def make_synthetic_corpus(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def write_share(part) -> list:
-        """None per utterance, but the first to fail gives its exception and ends the share."""
-        for i, (entry, f0, formants, utt_seed) in enumerate(part):
-            try:
-                buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
-                                     seed=utt_seed, silence_pad_s=silence_pad_s)
-                write_text_samples(buffer, out_dir / entry.path)
-            except Exception as exc:  # raised below, unless an earlier utterance failed
-                return [None] * i + [exc] + [None] * (len(part) - i - 1)
-        return [None] * len(part)
+    def write(entry, f0, formants, utt_seed) -> Exception | None:
+        """None once the utterance is written, or the exception its write raised."""
+        try:
+            buffer = synth_vowel(f0, formants, duration_s, sample_rate_hz,
+                                 seed=utt_seed, silence_pad_s=silence_pad_s)
+            write_text_samples(buffer, out_dir / entry.path)
+        except Exception as exc:  # raised below, unless an earlier utterance failed
+            return exc
+        return None
 
-    for failure in split_across_processes(write_share, plan):
+    for failure in split_across_processes(lambda part: [write(*utterance) for utterance in part], plan):
         if failure is not None:  # the earliest in plan order, as writing one by one would raise
             raise failure
+    entries = [entry for entry, *_ in plan]
     manifest_path = out_dir / "manifest.csv"
-    write_manifest([entry for entry, *_ in plan], manifest_path)
-    return manifest_path, load_manifest(manifest_path)
+    write_manifest(entries, manifest_path)
+    return manifest_path, [replace(entry, path=str(out_dir / entry.path)) for entry in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +457,7 @@ def format_report(report: EvalReport) -> str:
     lines = ["System comparison:"]
     header = f"{'system':<10} {'total':>6} {'accepted':>9} {'correct':>8} {'wrong':>6} {'rejected':>9} {'accuracy%':>10}"
     lines.append(header)
-    for name in (SYSTEM_CEPSTRAL, SYSTEM_TEMPORAL, SYSTEM_COMBINED):
-        s = report.systems[name]
+    for name, s in report.systems.items():
         lines.append(
             f"{name:<10} {s.total:>6} {s.accepted:>9} {s.correct:>8} {s.wrong:>6} "
             f"{s.rejected:>9} {_pct(s.accuracy):>10}"
@@ -488,8 +486,7 @@ def write_report_csv(report: EvalReport, out_dir) -> None:
     with open(out_dir / "systems.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["system", "total", "accepted", "correct", "wrong", "rejected", "accuracy_pct"])
-        for name in (SYSTEM_CEPSTRAL, SYSTEM_TEMPORAL, SYSTEM_COMBINED):
-            s = report.systems[name]
+        for name, s in report.systems.items():
             acc = "" if s.accuracy is None else repr(100.0 * s.accuracy)
             writer.writerow([name, s.total, s.accepted, s.correct, s.wrong, s.rejected, acc])
     with open(out_dir / "vowels.csv", "w", newline="", encoding="utf-8") as fh:

@@ -14,6 +14,7 @@ from .signal_io import SampleBuffer
 
 VOWELS = ("a", "e", "i", "o", "u")
 LPC_ORDER = 12
+TEMPORAL_DIM = 4  # poc, pot, nec, net: the vector's leading values
 MAX_CEPSTRAL_FRAMES = 18
 REGION_PERIODS_BEFORE = 10
 REGION_PERIODS_AFTER = 9  # peak period itself plus 9 more: 20 in total
@@ -105,7 +106,7 @@ def _extrema_counts(x, periods: np.ndarray) -> np.ndarray:
     trough = (a > c) & (c < b)
     pos = c > 0.0
     flags = np.stack((crest & pos, trough & pos, crest & ~pos, trough & ~pos))
-    running = np.zeros((4, c.size + 1), dtype=np.int64)
+    running = np.zeros((TEMPORAL_DIM, c.size + 1), dtype=np.int64)
     np.cumsum(flags, axis=1, out=running[:, 1:])
     # window centres of a period run from start + 1 to start + length - 2
     return (running[:, stops - lo - 2] - running[:, starts - lo]).T

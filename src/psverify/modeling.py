@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import UtteranceFeatures, VOWELS
+from .features import LPC_ORDER, TEMPORAL_DIM, UtteranceFeatures, VOWELS
 
-MODEL_DIM = 16
+MODEL_DIM = TEMPORAL_DIM + LPC_ORDER
 FORMAT_HEADER = "PSV-MODELS v2"
 _MAX_UTTERANCES = int(np.iinfo(np.int64).max)
 
@@ -64,6 +64,9 @@ class SpeakerModel:
         error = _model_error(self.speaker_id, self.vowel, arr, self.n_utterances)
         if error:
             raise ValueError(error)
+
+    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
+        return type(self), (self.speaker_id, self.vowel, self.mean_features, self.n_utterances)
 
     @classmethod
     def _of_row(cls, speaker_id: str, vowel: str, row: np.ndarray, n_utterances: int):

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -35,6 +37,16 @@ def set_of(vectors, vowel="a"):
 
 def report_from(cep, tem):
     return DistanceReport(cep, tem, brute_argmin(cep), brute_argmin(tem))
+
+
+# a pickle round trip, a shallow and a deep copy
+COPIES = (lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy)
+
+
+def assert_read_only(*arrays):
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = np.nan
 
 
 @st.composite
@@ -148,6 +160,14 @@ class TestWeights:
         # no weights scores with the defaults
         default = score_against_models(features_from(vec), model_set)
         assert report_key(default) == report_key(score_against_models(features_from(vec), model_set, DistanceWeights()))
+
+    def test_copies_keep_the_values_and_stay_read_only(self):
+        w = DistanceWeights(temporal_weights=[1.0, 2.0, 3.0, 4.0])
+        for copy_of in COPIES:
+            copied = copy_of(w)
+            np.testing.assert_array_equal(copied.cepstral_weights, TOKHURA_CEPSTRAL_WEIGHTS)
+            np.testing.assert_array_equal(copied.temporal_weights, [1.0, 2.0, 3.0, 4.0])
+            assert_read_only(copied.cepstral_weights, copied.temporal_weights)
 
 
 class TestScoreAgainstModels:
@@ -321,6 +341,14 @@ class TestDistanceReport:
         b = report_from({"s1": 1.0}, {"s1": 2.0})
         assert a == a and a != b
         assert report_key(a) == report_key(b)
+
+    def test_copies_keep_the_values_and_stay_read_only(self):
+        report = report_from({"s9": 2.0, "s10": 1.0}, {"s10": 0.5, "s9": 0.25})
+        for copy_of in COPIES:
+            copied = copy_of(report)
+            assert report_key(copied) == report_key(report)
+            assert copied.ids == ("s10", "s9")
+            assert_read_only(copied.cepstral_distances, copied.temporal_distances)
 
 
 class TestIdentifyCombined:

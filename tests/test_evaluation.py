@@ -1,10 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from psverify import evaluation
+from psverify import evaluation, pipeline
 from psverify.evaluation import (
     EvalReport,
     ManifestEntry,
@@ -173,6 +173,14 @@ class TestSyntheticCorpus:
         assert entries == load_manifest(manifest)
         assert all(Path(e.path).is_file() for e in entries)
 
+    def test_a_failed_write_leaves_the_rest_written_and_no_manifest(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        (tmp_path / "s01_a_train00.txt").mkdir()  # the first utterance in plan order
+        with pytest.raises(IsADirectoryError, match="s01_a_train00.txt"):
+            make_synthetic_corpus(tmp_path, 2, 1, 1, seed=5)
+        written = [path.name for path in tmp_path.iterdir() if path.is_file()]
+        assert len(written) == 2 * 5 * 2 - 1 and "manifest.csv" not in written
+
     def test_duration_shorter_than_a_period_rejected_before_writing(self, tmp_path):
         # the lowest voices have periods of about 170 samples at 16 kHz
         with pytest.raises(ValueError, match="^f0 .* Hz: a period of 1[67][0-9] samples exceeds the 160 voiced"):
@@ -318,9 +326,105 @@ class TestAggregation:
         assert row.accepted == 0 and row.accuracy is None
         assert "n/a" in format_report(report)
 
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(ValueError):
+    def test_wrong_and_rejected_are_derived_from_the_stored_counts(self):
+        counts = SystemCounts(total=10, accepted=6, correct=4)
+        assert (counts.wrong, counts.rejected, counts.vowel) == (2, 4, None)
+        assert [f.name for f in fields(SystemCounts)] == ["total", "accepted", "correct", "vowel"]
+        with pytest.raises(TypeError):
             SystemCounts(total=10, accepted=5, correct=3, wrong=1, rejected=5)
+
+
+class TestReportLayout:
+    """The report text and CSVs, byte for byte, from hand-made outcomes: the
+    vowel e has nothing accepted, so its accuracy reads n/a, and one test
+    file failed, so the failed line prints."""
+
+    @pytest.fixture
+    def report(self):
+        return aggregate_outcomes(
+            [
+                outcome("a", "s1", "s1", "s1", "a1.txt"),
+                outcome("a", "s2", "s1", "s1", "a2.txt"),
+                outcome("a", "s1", "s1", "s2", "a3.txt"),
+                outcome("e", "s2", "s2", "s1", "dir,x/e1.txt"),
+                outcome("e", "s1", "s2", "s1", "e2.txt"),
+                outcome("i", "s2", "s2", "s2", "i1.txt"),
+            ],
+            [("bad.txt", "bad.txt: not a number")],
+        )
+
+    def test_text(self, report):
+        assert format_report(report) == (
+            "System comparison:\n"
+            "system      total  accepted  correct  wrong  rejected  accuracy%\n"
+            "cepstral        6         6        4      2         0      66.67\n"
+            "temporal        6         6        3      3         0      50.00\n"
+            "combined        6         3        2      1         3      66.67\n"
+            "\n"
+            "Per-vowel (combined system):\n"
+            "vowel   total  rejected  correct  wrong  accuracy%\n"
+            "a           3         1        1      1      50.00\n"
+            "e           2         2        0      0        n/a\n"
+            "i           1         0        1      0     100.00\n"
+            "\n"
+            "failed: 1 of 7 test files"
+        )
+
+    def test_csvs(self, report, tmp_path):
+        write_report_csv(report, tmp_path)
+        expected = {
+            "systems.csv": (
+                "system,total,accepted,correct,wrong,rejected,accuracy_pct\r\n"
+                "cepstral,6,6,4,2,0,66.66666666666666\r\n"
+                "temporal,6,6,3,3,0,50.0\r\n"
+                "combined,6,3,2,1,3,66.66666666666666\r\n"
+            ),
+            "vowels.csv": (
+                "vowel,total,rejected,correct,wrong,accuracy_on_accepted_pct\r\n"
+                "a,3,1,1,1,50.0\r\n"
+                "e,2,2,0,0,\r\n"
+                "i,1,0,1,0,100.0\r\n"
+            ),
+            "outcomes.csv": (
+                "path,speaker_id,vowel,cepstral_pick,temporal_pick,combined\r\n"
+                "a1.txt,s1,a,s1,s1,s1\r\n"
+                "a2.txt,s2,a,s1,s1,s1\r\n"
+                "a3.txt,s1,a,s1,s2,rejected\r\n"
+                '"dir,x/e1.txt",s2,e,s2,s1,rejected\r\n'
+                "e2.txt,s1,e,s2,s1,rejected\r\n"
+                "i1.txt,s2,i,s2,s2,s2\r\n"
+            ),
+        }
+        assert {name: (tmp_path / name).read_bytes() for name in expected} == {
+            name: text.encode() for name, text in expected.items()
+        }
+
+
+class TestCallsThroughTheModule:
+    """Synthesis and model building are looked up on the `evaluation` module
+    at each call, so a wrapper set there, such as perfbench's tracer, sees
+    every one. One process does all the work here, so no call is hidden in a
+    child."""
+
+    def test_one_synth_per_utterance_and_one_build_per_model(self, tmp_path, monkeypatch, config):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+        calls = {"synth_vowel": 0, "build_model": 0}
+
+        def counting(name):
+            real = getattr(evaluation, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counting(name))
+        _, entries = make_synthetic_corpus(tmp_path, n_speakers=2, train_per_vowel=2, test_per_vowel=1, seed=5)
+        assert calls == {"synth_vowel": len(entries), "build_model": 0}
+        model_set = run_training(entries, config)
+        assert calls == {"synth_vowel": len(entries), "build_model": 2 * 5}
+        assert len(model_set.models) == 2 * 5
 
 
 class TestRunTraining:

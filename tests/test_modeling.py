@@ -1,3 +1,4 @@
+import copy
 import pickle
 import re
 import sys
@@ -392,6 +393,18 @@ class TestRecords:
             assert copy.mean_features.tobytes() == added.mean_features.tobytes()
             assert model == model and copy != model
         assert model_set.models["spk", "a"] != model_set.models["spk", "a"]
+
+    def test_speaker_model_copies_keep_the_values_and_stay_read_only(self):
+        added = SpeakerModel("spk", "a", np.arange(16.0), 3)
+        model_set = ModelSet()
+        model_set.add(added)
+        for model in (added, model_set.models["spk", "a"]):
+            for copy_of in (lambda record: pickle.loads(pickle.dumps(record)), copy.copy, copy.deepcopy):
+                copied = copy_of(model)
+                assert (copied.speaker_id, copied.vowel, copied.n_utterances) == ("spk", "a", 3)
+                assert copied.mean_features.tobytes() == added.mean_features.tobytes()
+                with pytest.raises(ValueError, match="read-only"):
+                    copied.mean_features[0] = np.nan
 
     def test_verification_outcome_is_slotted_frozen_and_compared_by_value(self):
         outcome = VerificationOutcome(True, "spk")
