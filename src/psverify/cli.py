@@ -214,7 +214,11 @@ def _cmd_enroll(args, cfg) -> int:
     return 0
 
 
-def _print_distance_table(report) -> None:
+def _score(args, cfg, weights, model_set):
+    """Extract the input's features, score them against the vowel's models,
+    print the distance table and return the DistanceReport."""
+    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
+    report = score_against_models(features, model_set, weights)
     rows = zip(report.ids, report.cepstral_distances.tolist(), report.temporal_distances.tolist())
     print("\n".join([
         f"{'speaker':<12} {'cepstral':>14} {'temporal':>14}",
@@ -222,14 +226,11 @@ def _print_distance_table(report) -> None:
         f"nearest by cepstra:  {report.argmin_cepstral}",
         f"nearest by features: {report.argmin_temporal}",
     ]))
+    return report
 
 
 def _cmd_identify(args, cfg, weights) -> int:
-    model_set = modeling.load_models(args.models)
-    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
-    report = score_against_models(features, model_set, weights)
-    _print_distance_table(report)
-    outcome = identify_combined(report)
+    outcome = identify_combined(_score(args, cfg, weights, modeling.load_models(args.models)))
     if outcome.accepted:
         print(f"outcome: accepted {outcome.speaker_id}")
     else:
@@ -241,10 +242,7 @@ def _cmd_verify(args, cfg, weights) -> int:
     model_set = modeling.load_models(args.models)
     if (args.claim, args.vowel) not in model_set.models:  # refused before the input is read or a row printed
         raise ValueError(f"unknown claimed speaker {args.claim!r}")
-    features = pipeline.utterance_features_from_file(args.input, args.vowel, cfg)
-    report = score_against_models(features, model_set, weights)
-    _print_distance_table(report)
-    result = verify_claim(report, args.claim)
+    result = verify_claim(_score(args, cfg, weights, model_set), args.claim)
     print(f"claim {args.claim}: {result}")
     return {VERIFIED: 0, IMPOSTOR: 2, RETRY: 3}[result]
 
@@ -277,9 +275,10 @@ def _cmd_synth_corpus(args) -> int:
     return 0
 
 
-def parse_and_dispatch(argv) -> int:
+def main(argv=None) -> int:
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(sys.argv[1:] if argv is None else list(argv))
     if args.command is None:
         parser.print_usage(sys.stderr)
         return USAGE_ERROR
@@ -292,11 +291,6 @@ def parse_and_dispatch(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-
-
-def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    return parse_and_dispatch(sys.argv[1:] if argv is None else list(argv))
 
 
 def run() -> None:

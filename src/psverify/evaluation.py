@@ -332,11 +332,15 @@ def make_synthetic_corpus(
 # ---------------------------------------------------------------------------
 # manifest I/O
 
-def write_manifest(entries, path) -> None:
+def _write_csv(path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        writer.writerows([e.path, e.speaker_id, e.vowel, e.split] for e in entries)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_manifest(entries, path) -> None:
+    _write_csv(path, MANIFEST_COLUMNS, ([getattr(e, column) for column in MANIFEST_COLUMNS] for e in entries))
 
 
 def load_manifest(path) -> list[ManifestEntry]:
@@ -483,21 +487,15 @@ def write_report_csv(report: EvalReport, out_dir) -> None:
     """systems.csv, vowels.csv and outcomes.csv under out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "systems.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["system", "total", "accepted", "correct", "wrong", "rejected", "accuracy_pct"])
-        for name, s in report.systems.items():
-            acc = "" if s.accuracy is None else repr(100.0 * s.accuracy)
-            writer.writerow([name, s.total, s.accepted, s.correct, s.wrong, s.rejected, acc])
-    with open(out_dir / "vowels.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vowel", "total", "rejected", "correct", "wrong", "accuracy_on_accepted_pct"])
-        for row in report.vowel_rows:
-            acc = "" if row.accuracy is None else repr(100.0 * row.accuracy)
-            writer.writerow([row.vowel, row.total, row.rejected, row.correct, row.wrong, acc])
-    with open(out_dir / "outcomes.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "speaker_id", "vowel", "cepstral_pick", "temporal_pick", "combined"])
-        for o in report.outcomes:
-            combined = "rejected" if o.combined_pick is None else o.combined_pick
-            writer.writerow([o.path, o.speaker_id, o.vowel, o.cepstral_pick, o.temporal_pick, combined])
+    _write_csv(out_dir / "systems.csv",
+               ["system", "total", "accepted", "correct", "wrong", "rejected", "accuracy_pct"],
+               ([name, s.total, s.accepted, s.correct, s.wrong, s.rejected,
+                 "" if s.accuracy is None else repr(100.0 * s.accuracy)] for name, s in report.systems.items()))
+    _write_csv(out_dir / "vowels.csv",
+               ["vowel", "total", "rejected", "correct", "wrong", "accuracy_on_accepted_pct"],
+               ([r.vowel, r.total, r.rejected, r.correct, r.wrong,
+                 "" if r.accuracy is None else repr(100.0 * r.accuracy)] for r in report.vowel_rows))
+    _write_csv(out_dir / "outcomes.csv",
+               ["path", "speaker_id", "vowel", "cepstral_pick", "temporal_pick", "combined"],
+               ([o.path, o.speaker_id, o.vowel, o.cepstral_pick, o.temporal_pick,
+                 "rejected" if o.combined_pick is None else o.combined_pick] for o in report.outcomes))

@@ -45,12 +45,16 @@ class CepstralVector:
     c: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.c, dtype=np.float64)
+        arr = np.array(self.c, dtype=np.float64)
+        arr.flags.writeable = False
         object.__setattr__(self, "c", arr)
         if arr.shape != (LPC_ORDER,):
             raise ValueError(f"expected {LPC_ORDER} cepstral coefficients, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("cepstral coefficients must be finite")
+
+    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
+        return type(self), (self.c,)
 
 
 @dataclass(frozen=True)

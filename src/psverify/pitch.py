@@ -73,7 +73,8 @@ class PitchMarks:
     polarity_used: int
 
     def __post_init__(self):
-        arr = np.asarray(self.mark_indices, dtype=np.int64)
+        arr = np.array(self.mark_indices, dtype=np.int64)
+        arr.flags.writeable = False
         object.__setattr__(self, "mark_indices", arr)
         if arr.size < 2:
             raise ValueError("need at least two pitch marks")
@@ -81,6 +82,9 @@ class PitchMarks:
             raise ValueError("pitch marks must be strictly increasing")
         if self.polarity_used not in (1, -1):
             raise ValueError(f"unknown polarity {self.polarity_used!r}")
+
+    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
+        return type(self), (self.mark_indices, self.polarity_used)
 
 
 def _scan_halves(x):
@@ -199,7 +203,7 @@ def mark_pitch_periods(
             threshold = next_threshold
     if len(marks) < 2:
         raise ValueError("pitch not detected")
-    return PitchMarks(np.asarray(marks, dtype=np.int64), polarity)
+    return PitchMarks(marks, polarity)
 
 
 def periods_from_marks(marks: PitchMarks) -> np.ndarray:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -320,3 +323,20 @@ class TestCepstralVector:
     def test_finite(self):
         with pytest.raises(ValueError, match="finite"):
             CepstralVector(np.full(12, np.inf))
+
+    def test_holds_a_read_only_copy(self):
+        c = np.linspace(-1.0, 1.0, 12)
+        cv = CepstralVector(c)
+        c[0] = np.nan
+        assert cv.c[0] == -1.0
+        feats = UtteranceFeatures(TemporalFeatures(1.0, 2.0, 3.0, 4.0), cv, "a")
+        with pytest.raises(ValueError, match="read-only"):
+            feats.cepstral.c[3] = np.inf
+        assert np.all(np.isfinite(feats.vector))
+
+    def test_copies_stay_read_only(self):
+        feats = UtteranceFeatures(TemporalFeatures(1.0, 2.0, 3.0, 4.0), CepstralVector(np.arange(5.0, 17.0)), "i")
+        for copied in (pickle.loads(pickle.dumps(feats)), copy.deepcopy(feats)):
+            assert copied.vector.tobytes() == feats.vector.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                copied.cepstral.c[0] = np.nan

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -249,3 +252,18 @@ class TestPeriodsFromMarks:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PitchMarks(np.array([0, 100, 100]), 1)
+
+    def test_marks_are_a_read_only_copy(self):
+        m = np.array([0, 10, 20])
+        marks = PitchMarks(m, 1)
+        m[1] = 30
+        assert marks.mark_indices.tolist() == [0, 10, 20]
+        with pytest.raises(ValueError, match="read-only"):
+            marks.mark_indices[1] = 30
+
+    def test_copies_stay_read_only(self):
+        marks = PitchMarks(np.array([3, 40, 90]), -1)
+        for copied in (pickle.loads(pickle.dumps(marks)), copy.deepcopy(marks)):
+            assert (copied.mark_indices.tolist(), copied.polarity_used) == ([3, 40, 90], -1)
+            with pytest.raises(ValueError, match="read-only"):
+                copied.mark_indices[0] = 1

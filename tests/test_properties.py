@@ -36,7 +36,7 @@ from psverify.features import (
 )
 from psverify.evaluation import VOWEL_FORMANTS, load_manifest, synth_vowel
 from psverify.modeling import ModelSet, SpeakerModel, load_models, save_models, speaker_id_error
-from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
+from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
 from psverify.pitch import compute_stats, extract_half_peaks
 from psverify.signal_io import SampleBuffer, load_text_samples
 
@@ -252,6 +252,28 @@ def test_negation_swaps_the_signed_counts_and_keeps_the_cepstra(x):
     poc, pot, nec, net = vector[:4].tolist()
     assert negated_vector[:4].tolist() == [net, nec, pot, poc]
     assert negated_vector[4:].tobytes() == vector[4:].tobytes()
+
+
+def test_constant_offset_keeps_the_marks_and_the_counts(small_corpus):
+    # DC removal takes a constant added to every sample back out, up to the
+    # rounding of the mean; the offset is added in memory, since a text file's
+    # %.12g rounding would be a relation of its own
+    _, entries = small_corpus
+    for entry in entries:
+        buffer = load_signal(entry.path)
+        trimmed = preprocess_signal(buffer)
+        marks = detect_marks(trimmed)
+        vector = composed_vector(trimmed, marks)
+        peak = np.max(np.abs(buffer.samples))
+        for fraction in (-0.25, 0.25, 1.0):
+            shifted = preprocess_signal(SampleBuffer(buffer.samples + fraction * peak, buffer.sample_rate_hz))
+            shifted_marks = detect_marks(shifted)
+            assert shifted_marks.polarity_used == marks.polarity_used, (entry.path, fraction)
+            assert shifted_marks.mark_indices.tolist() == marks.mark_indices.tolist(), (entry.path, fraction)
+            shifted_vector = composed_vector(shifted, shifted_marks)
+            assert shifted_vector[:4].tobytes() == vector[:4].tobytes(), (entry.path, fraction)
+            np.testing.assert_allclose(shifted_vector[4:], vector[4:], rtol=0, atol=1e-11,
+                                       err_msg=f"{entry.path} {fraction}")
 
 
 @PROPERTY
