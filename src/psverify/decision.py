@@ -12,6 +12,7 @@ import numpy as np
 
 from .features import LPC_ORDER, TEMPORAL_DIM, UtteranceFeatures
 from .modeling import ModelSet
+from .signal_io import ArrayRecord
 
 # Classical Tokhura weight table; the temporal block defaults to plain
 # squared Euclidean. Both are overridable configuration, not claims.
@@ -24,7 +25,7 @@ RETRY = "retry"
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceWeights:
+class DistanceWeights(ArrayRecord):
     """Both weight vectors, kept as read-only copies of the values checked."""
 
     cepstral_weights: np.ndarray = TOKHURA_CEPSTRAL_WEIGHTS
@@ -32,23 +33,18 @@ class DistanceWeights:
 
     def __post_init__(self):
         for name, count in (("cepstral_weights", LPC_ORDER), ("temporal_weights", TEMPORAL_DIM)):
-            w = np.array(getattr(self, name), dtype=np.float64)
+            w = self._freeze(name)
             if w.shape != (count,):
                 raise ValueError(f"{name} needs {count} values, got {w.size if w.ndim == 1 else w.shape}")
             if not np.all((0 < w) & (w < np.inf)):
                 raise ValueError(f"{name} must be finite and positive")
-            w.flags.writeable = False
-            object.__setattr__(self, name, w)
-
-    def __reduce__(self):  # through the constructor, so a copy's arrays are checked and read-only too
-        return type(self), (self.cepstral_weights, self.temporal_weights)
 
 
 _DEFAULT_WEIGHTS = DistanceWeights()
 
 
 @dataclass(frozen=True, eq=False)
-class DistanceReport:
+class DistanceReport(ArrayRecord):
     """Distances from one test utterance to every same-vowel speaker model:
     one read-only float64 array per family, parallel to the sorted `ids`.
 
@@ -71,17 +67,11 @@ class DistanceReport:
                 ids = ids or tuple(sorted(values))
                 if values.keys() != set(ids):
                     raise ValueError(f"{name} names other speakers than the report's ids")
-                values = [values[sid] for sid in ids]
-            values = np.array(values, dtype=np.float64)
+                object.__setattr__(self, name, [values[sid] for sid in ids])
+            values = self._freeze(name)
             if values.shape != (len(ids),):
                 raise ValueError(f"{name} needs one value per id ({len(ids)}), got shape {values.shape}")
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
         object.__setattr__(self, "ids", tuple(ids))
-
-    def __reduce__(self):  # through the constructor, so a copy's arrays are checked and read-only too
-        return type(self), (self.cepstral_distances, self.temporal_distances,
-                            self.argmin_cepstral, self.argmin_temporal, self.ids)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_io import SampleBuffer
+from .signal_io import ArrayRecord, SampleBuffer
 
 VOWELS = ("a", "e", "i", "o", "u")
 LPC_ORDER = 12
@@ -41,20 +41,15 @@ class TemporalFeatures:
 
 
 @dataclass(frozen=True, eq=False)
-class CepstralVector:
+class CepstralVector(ArrayRecord):
     c: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.c, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "c", arr)
+        arr = self._freeze("c")
         if arr.shape != (LPC_ORDER,):
             raise ValueError(f"expected {LPC_ORDER} cepstral coefficients, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("cepstral coefficients must be finite")
-
-    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
-        return type(self), (self.c,)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import LPC_ORDER, TEMPORAL_DIM, UtteranceFeatures, VOWELS
+from .signal_io import ArrayRecord
 
 MODEL_DIM = TEMPORAL_DIM + LPC_ORDER
 FORMAT_HEADER = "PSV-MODELS v2"
@@ -32,41 +33,28 @@ def speaker_id_error(speaker_id: str) -> str | None:
     return None
 
 
-def _model_error(speaker_id: str, vowel: str, values: np.ndarray, n_utterances: int) -> str | None:
-    """The first rule a model breaks, or None."""
-    if error := speaker_id_error(speaker_id):
-        return error
-    if vowel not in VOWELS:
-        return f"unknown vowel {vowel!r}"
-    if values.shape != (MODEL_DIM,):
-        return f"model must hold {MODEL_DIM} values, got {values.shape}"
-    if not np.all(np.isfinite(values)):
-        return "model values must be finite"
-    if n_utterances < 1:
-        return f"model needs at least one utterance, got {n_utterances}"
-    if n_utterances > _MAX_UTTERANCES:
-        return f"utterance count {n_utterances} exceeds {_MAX_UTTERANCES}"
-    return None
-
-
 @dataclass(frozen=True, eq=False, slots=True)
-class SpeakerModel:
+class SpeakerModel(ArrayRecord):
     speaker_id: str
     vowel: str
     mean_features: np.ndarray
     n_utterances: int
 
     def __post_init__(self):
-        arr = np.array(self.mean_features, dtype=np.float64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "mean_features", arr)
+        values = self._freeze("mean_features")
         object.__setattr__(self, "n_utterances", operator.index(self.n_utterances))
-        error = _model_error(self.speaker_id, self.vowel, arr, self.n_utterances)
-        if error:
+        if error := speaker_id_error(self.speaker_id):
             raise ValueError(error)
-
-    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
-        return type(self), (self.speaker_id, self.vowel, self.mean_features, self.n_utterances)
+        if self.vowel not in VOWELS:
+            raise ValueError(f"unknown vowel {self.vowel!r}")
+        if values.shape != (MODEL_DIM,):
+            raise ValueError(f"model must hold {MODEL_DIM} values, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("model values must be finite")
+        if self.n_utterances < 1:
+            raise ValueError(f"model needs at least one utterance, got {self.n_utterances}")
+        if self.n_utterances > _MAX_UTTERANCES:
+            raise ValueError(f"utterance count {self.n_utterances} exceeds {_MAX_UTTERANCES}")
 
     @classmethod
     def _of_row(cls, speaker_id: str, vowel: str, row: np.ndarray, n_utterances: int):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_io import SampleBuffer
+from .signal_io import ArrayRecord, SampleBuffer
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class HalfPeak:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfPeaks:
+class HalfPeaks(ArrayRecord):
     """Every half of a signal in time order, as parallel arrays.
 
     `signs` is +1/-1 per half, `indices` the first sample attaining its
@@ -44,7 +44,7 @@ class HalfPeaks:
     def __post_init__(self):
         for name, dtype in (("signs", np.int8), ("indices", np.int64),
                             ("values", np.float64), ("mpds", np.float64)):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            self._freeze(name, dtype)
         if self.signs.ndim != 1 or not (
             self.signs.shape == self.indices.shape == self.values.shape == self.mpds.shape
         ):
@@ -65,7 +65,7 @@ class HalfPeaks:
 
 
 @dataclass(frozen=True, eq=False)
-class PitchMarks:
+class PitchMarks(ArrayRecord):
     """Strictly increasing pitch-cycle start indices and the sign of the
     halves they were placed on."""
 
@@ -73,18 +73,13 @@ class PitchMarks:
     polarity_used: int
 
     def __post_init__(self):
-        arr = np.array(self.mark_indices, dtype=np.int64)
-        arr.flags.writeable = False
-        object.__setattr__(self, "mark_indices", arr)
+        arr = self._freeze("mark_indices", np.int64)
         if arr.size < 2:
             raise ValueError("need at least two pitch marks")
         if np.any(np.diff(arr) <= 0):
             raise ValueError("pitch marks must be strictly increasing")
         if self.polarity_used not in (1, -1):
             raise ValueError(f"unknown polarity {self.polarity_used!r}")
-
-    def __reduce__(self):  # through the constructor, so a copy's array is checked and read-only too
-        return type(self), (self.mark_indices, self.polarity_used)
 
 
 def _scan_halves(x):

@@ -1,7 +1,11 @@
-"""Load and store speech signals: plain-text sample files and 16-bit PCM WAV."""
+"""Load and store speech signals: plain-text sample files and 16-bit PCM WAV.
 
+Also home of `ArrayRecord`, the base of every record that holds an array.
+"""
+
+import sys
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,22 +15,39 @@ DEFAULT_SAMPLE_RATE_HZ = 16000
 _NUMPY_DECOMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
+class ArrayRecord:
+    """Base of the frozen dataclasses that hold arrays: each array field is a
+    read-only copy of the value the record checked, and a copy or pickle goes
+    back through the constructor, so it is checked and read-only too."""
+
+    __slots__ = ()
+
+    def _freeze(self, name, dtype=np.float64) -> np.ndarray:
+        """Store field `name` as a read-only `dtype` copy and return it."""
+        arr = np.array(getattr(self, name), dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(self, name, arr)
+        return arr
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class SampleBuffer:
+class SampleBuffer(ArrayRecord):
     """A mono speech signal: real-valued samples at a fixed rate."""
 
     samples: np.ndarray
     sample_rate_hz: int
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", arr)
+        arr = self._freeze("samples")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("empty signal")
         if not np.all(np.isfinite(arr)):
             raise ValueError("signal contains non-finite amplitudes")
-        if self.sample_rate_hz <= 0:
-            raise ValueError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:
+            raise ValueError(f"sample rate must be finite and positive, got {self.sample_rate_hz}")
 
     def __len__(self):
         return self.samples.size
@@ -84,7 +105,7 @@ def load_text_samples(path, sample_rate_hz=DEFAULT_SAMPLE_RATE_HZ) -> SampleBuff
             values.append(float(line))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: not a number: {line!r}") from None
-    return _named_buffer(path, np.asarray(values, dtype=np.float64), sample_rate_hz)
+    return _named_buffer(path, values, sample_rate_hz)
 
 
 def load_wav_pcm16(path) -> SampleBuffer:
@@ -112,7 +133,7 @@ def load_wav_pcm16(path) -> SampleBuffer:
         raise ValueError(f"{path}: not a readable PCM WAV file ({exc})") from None
     if len(data) < 2 * n_frames:
         raise ValueError(f"{path}: truncated WAV: {len(data) // 2} of {n_frames} frames present")
-    return _named_buffer(path, np.frombuffer(data, dtype="<i2").astype(np.float64), rate)
+    return _named_buffer(path, np.frombuffer(data, dtype="<i2"), rate)
 
 
 def write_text_samples(buffer: SampleBuffer, path) -> None:

@@ -5,7 +5,8 @@ are collected: `module.NAME` read off a psverify module it imports,
 `from psverify.module import NAME`, and the (module, "NAME", span) triples
 it hands `traced_attributes` to wrap by string. Methods and attributes read
 off returned objects (`ModelSet.for_vowel`, `PipelineConfig.period_bounds`,
-`HalfPeak.polarity`) are out of this test's reach.
+`HalfPeak.polarity`) are out of this test's reach;
+`test_perfbench_composition.py` runs the workload helpers that read them.
 """
 
 import ast

@@ -44,6 +44,11 @@ class TestSampleBuffer:
         with pytest.raises(ValueError, match="rate"):
             SampleBuffer(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "10**400"])
+    def test_rejects_rate_that_is_not_finite(self, rate):
+        with pytest.raises(ValueError, match="sample rate must be finite"):
+            SampleBuffer(np.array([1.0]), rate)
+
 
 class TestTextFormat:
     def test_basic_load(self, tmp_path):
