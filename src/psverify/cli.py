@@ -7,10 +7,11 @@ evaluate, synth. Exit codes: 0 success, 1 usage error, 2 data error;
 
 import argparse
 import dataclasses
+import inspect
 import logging
 import sys
 
-from . import evaluation, modeling, pipeline, signal_io
+from . import evaluation, modeling, pipeline, signal_io, synth
 from .decision import (
     IMPOSTOR,
     RETRY,
@@ -168,12 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=_seed, default=0)
     c = command(synth_sub, "corpus", _cmd_synth_corpus, 0, "labeled multi-speaker corpus")
     c.add_argument("--out", required=True, metavar="DIR")
-    c.add_argument("--speakers", type=int, default=10)
-    c.add_argument("--train", type=int, default=20, help="train utterances per vowel")
-    c.add_argument("--test", type=int, default=5, help="test utterances per vowel")
-    c.add_argument("--seed", type=_seed, default=12345)
-    c.add_argument("--duration", type=float, default=0.35)
-    c.add_argument("--silence-pad", type=float, default=0.04)
+    c.argument_default = argparse.SUPPRESS  # a flag not given is left out, so the library's default applies
+    c.add_argument("--speakers", dest="n_speakers", metavar="SPEAKERS", type=int)
+    c.add_argument("--train", dest="train_per_vowel", metavar="TRAIN", type=int, help="train utterances per vowel")
+    c.add_argument("--test", dest="test_per_vowel", metavar="TEST", type=int, help="test utterances per vowel")
+    c.add_argument("--seed", type=_seed)
+    c.add_argument("--duration", dest="duration_s", metavar="DURATION", type=float)
+    c.add_argument("--silence-pad", dest="silence_pad_s", metavar="SILENCE_PAD", type=float)
     for p in (v, c):
         p.add_argument("--sample-rate", dest="sample_rate_hz", type=int, default=signal_io.DEFAULT_SAMPLE_RATE_HZ,
                        metavar="HZ", help="output sample rate (default %(default)s)")
@@ -257,8 +259,8 @@ def _cmd_evaluate(args, cfg, weights) -> int:
 
 
 def _cmd_synth_vowel(args) -> int:
-    buffer = evaluation.synth_vowel(
-        args.f0, args.formants or evaluation.VOWEL_FORMANTS[args.vowel], args.duration, args.sample_rate_hz,
+    buffer = synth.synth_vowel(
+        args.f0, args.formants or synth.VOWEL_FORMANTS[args.vowel], args.duration, args.sample_rate_hz,
         seed=args.seed, silence_pad_s=args.silence_pad,
     )
     signal_io.write_text_samples(buffer, args.out)
@@ -267,10 +269,9 @@ def _cmd_synth_vowel(args) -> int:
 
 
 def _cmd_synth_corpus(args) -> int:
-    manifest_path, entries = evaluation.make_synthetic_corpus(
-        args.out, args.speakers, args.train, args.test, args.seed,
-        args.sample_rate_hz, args.duration, args.silence_pad,
-    )
+    corpus = evaluation.make_synthetic_corpus
+    given = {name: getattr(args, name) for name in inspect.signature(corpus).parameters if hasattr(args, name)}
+    manifest_path, entries = corpus(args.out, **given)
     print(f"wrote {len(entries)} utterances, manifest at {manifest_path}")
     return 0
 

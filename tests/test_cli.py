@@ -1,11 +1,12 @@
 import argparse
+import functools
 import wave
 
 import numpy as np
 import pytest
 
 from helpers import composed_vector
-from psverify import cli
+from psverify import cli, evaluation
 from psverify.evaluation import ManifestEntry, write_manifest
 from psverify.features import CepstralVector, TemporalFeatures, UtteranceFeatures
 from psverify.modeling import ModelSet, SpeakerModel, save_models
@@ -758,3 +759,53 @@ class TestSynthCommand:
             "synth", "corpus", "--out", str(tmp_path / "c"), "--speakers", "1",
         ])
         assert code == 2
+
+    def test_corpus_passes_only_the_flags_given(self, tmp_path, monkeypatch):
+        # make_synthetic_corpus's defaults are the only ones: a flag not given is not passed
+        calls = []
+
+        @functools.wraps(evaluation.make_synthetic_corpus)
+        def recording(*args, **kwargs):
+            calls.append((args, kwargs))
+            return tmp_path / "manifest.csv", []
+
+        monkeypatch.setattr(evaluation, "make_synthetic_corpus", recording)
+        assert cli.main(["synth", "corpus", "--out", "c"]) == 0
+        assert cli.main(["synth", "corpus", "--out", "d", "--speakers", "3", "--train", "2", "--test", "0",
+                         "--seed", "4", "--duration", "0.2", "--silence-pad", "0.01", "--sample-rate", "8000"]) == 0
+        assert calls == [
+            (("c",), {"sample_rate_hz": 16000}),
+            (("d",), {"n_speakers": 3, "train_per_vowel": 2, "test_per_vowel": 0, "seed": 4,
+                      "sample_rate_hz": 8000, "duration_s": 0.2, "silence_pad_s": 0.01}),
+        ]
+
+    def test_corpus_writes_the_library_corpus(self, tmp_path):
+        flags = ["--speakers", "2", "--train", "1", "--test", "1", "--seed", "9", "--duration", "0.2",
+                 "--silence-pad", "0.01"]
+        assert cli.main(["synth", "corpus", "--out", str(tmp_path / "cli"), *flags]) == 0
+        evaluation.make_synthetic_corpus(tmp_path / "library", n_speakers=2, train_per_vowel=1, test_per_vowel=1,
+                                         seed=9, duration_s=0.2, silence_pad_s=0.01)
+        written = {root: {p.name: p.read_bytes() for p in (tmp_path / root).iterdir()} for root in ("cli", "library")}
+        assert len(written["cli"]) == 2 * 5 * 2 + 1
+        assert written["cli"] == written["library"]
+
+    def test_corpus_help_names_no_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["synth", "corpus", "--help"])
+        assert capsys.readouterr().out.split() == """
+            usage: psverify synth corpus [-h] --out DIR [--speakers SPEAKERS]
+                                         [--train TRAIN] [--test TEST] [--seed SEED]
+                                         [--duration DURATION] [--silence-pad SILENCE_PAD]
+                                         [--sample-rate HZ]
+            options:
+              -h, --help            show this help message and exit
+              --out DIR
+              --speakers SPEAKERS
+              --train TRAIN         train utterances per vowel
+              --test TEST           test utterances per vowel
+              --seed SEED
+              --duration DURATION
+              --silence-pad SILENCE_PAD
+              --sample-rate HZ      output sample rate (default 16000)
+            """.split()

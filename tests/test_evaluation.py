@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psverify import evaluation, pipeline
+from psverify import evaluation, pipeline, synth
 from psverify.evaluation import (
     EvalReport,
     ManifestEntry,
@@ -118,7 +118,7 @@ def lfilter_vowel(f0_hz, formants, duration_s, sample_rate_hz, seed):
     from scipy.signal import lfilter
 
     period = round(sample_rate_hz / f0_hz)
-    warmup = round(evaluation.WARMUP_S * sample_rate_hz)
+    warmup = round(synth.WARMUP_S * sample_rate_hz)
     out = np.zeros(warmup + round(duration_s * sample_rate_hz))
     out[int(np.random.default_rng(seed).integers(0, period))::period] = 1.0
     for centre, bandwidth in formants:
@@ -188,8 +188,9 @@ class TestSyntheticCorpus:
         assert not (tmp_path / "c").exists()
 
     def test_narrow_bandwidth_rejected_before_the_directory_is_made(self, tmp_path, monkeypatch):
-        formants = dict(evaluation.VOWEL_FORMANTS, u=((300.0, 60.0), (870.0, 0.1), (2240.0, 200.0)))
-        monkeypatch.setattr(evaluation, "VOWEL_FORMANTS", formants)
+        # the corpus plan reads the table where synthesis keeps it
+        formants = dict(synth.VOWEL_FORMANTS, u=((300.0, 60.0), (870.0, 0.1), (2240.0, 200.0)))
+        monkeypatch.setattr(synth, "VOWEL_FORMANTS", formants)
         with pytest.raises(ValueError, match="^formant bandwidth 0.1 Hz too narrow for rate 16000"):
             make_synthetic_corpus(tmp_path / "c", n_speakers=2, train_per_vowel=1)
         assert not (tmp_path / "c").exists()
@@ -401,14 +402,14 @@ class TestReportLayout:
 
 
 class TestCallsThroughTheModule:
-    """Synthesis and model building are looked up on the `evaluation` module
-    at each call, so a wrapper set there, such as perfbench's tracer, sees
-    every one. One process does all the work here, so no call is hidden in a
-    child."""
+    """Synthesis, the text write and model building are looked up on the
+    `evaluation` module at each call, so a wrapper set there, such as
+    perfbench's tracer, sees every one. One process does all the work here,
+    so no call is hidden in a child."""
 
     def test_one_synth_per_utterance_and_one_build_per_model(self, tmp_path, monkeypatch, config):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-        calls = {"synth_vowel": 0, "build_model": 0}
+        calls = {"synth_vowel": 0, "write_text_samples": 0, "build_model": 0}
 
         def counting(name):
             real = getattr(evaluation, name)
@@ -421,9 +422,9 @@ class TestCallsThroughTheModule:
         for name in calls:
             monkeypatch.setattr(evaluation, name, counting(name))
         _, entries = make_synthetic_corpus(tmp_path, n_speakers=2, train_per_vowel=2, test_per_vowel=1, seed=5)
-        assert calls == {"synth_vowel": len(entries), "build_model": 0}
+        assert calls == {"synth_vowel": len(entries), "write_text_samples": len(entries), "build_model": 0}
         model_set = run_training(entries, config)
-        assert calls == {"synth_vowel": len(entries), "build_model": 2 * 5}
+        assert calls == {"synth_vowel": len(entries), "write_text_samples": len(entries), "build_model": 2 * 5}
         assert len(model_set.models) == 2 * 5
 
 
