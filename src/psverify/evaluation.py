@@ -28,7 +28,7 @@ SYSTEM_TEMPORAL = "temporal"
 SYSTEM_COMBINED = "combined"
 MANIFEST_COLUMNS = ("path", "speaker_id", "vowel", "split")
 
-# the acceptance suite and perfbench read the table here
+# the acceptance suite reads the table here
 VOWEL_FORMANTS = synth.VOWEL_FORMANTS
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import composed_vector, first_ill_conditioned, loop_cepstra
 from psverify import cli, evaluation, features, pipeline
-from psverify.evaluation import VOWEL_FORMANTS, make_synthetic_corpus, run_evaluation, synth_vowel
+from psverify.evaluation import make_synthetic_corpus, run_evaluation
 from psverify.features import (
     LPC_ORDER,
     autocorrelation,
@@ -39,6 +39,7 @@ from psverify.pipeline import (
 )
 from psverify.pitch import periods_from_marks
 from psverify.signal_io import SampleBuffer, write_text_samples
+from psverify.synth import VOWEL_FORMANTS, synth_vowel
 
 # lags 1, 2, ..., 13: k1 = 2, so the solve fails at its first reflection
 BAD_LAGS = np.arange(1.0, LPC_ORDER + 2)

@@ -10,19 +10,19 @@ from psverify.evaluation import (
     ManifestEntry,
     SystemCounts,
     UtteranceOutcome,
-    VOWEL_FORMANTS,
     aggregate_outcomes,
     format_report,
     load_manifest,
     make_synthetic_corpus,
     run_evaluation,
     run_training,
-    synth_vowel,
     write_manifest,
     write_report_csv,
 )
 from psverify.features import count_extrema
 from psverify.modeling import ModelSet
+from psverify.signal_io import write_text_samples
+from psverify.synth import VOWEL_FORMANTS, synth_vowel
 
 
 class TestSynthVowel:
@@ -172,6 +172,19 @@ class TestSyntheticCorpus:
         manifest, entries = make_synthetic_corpus(Path("..") / "corpus", 2, 1, 1, seed=5)
         assert entries == load_manifest(manifest)
         assert all(Path(e.path).is_file() for e in entries)
+
+    def test_plan_is_what_the_corpus_renders(self, tmp_path):
+        # the plan writes nothing, and each utterance's voice renders its file's bytes
+        plan = synth.corpus_plan(2, 1, 1, 5, 16000, 0.35, 0.04)
+        assert not any(tmp_path.iterdir())
+        _, entries = make_synthetic_corpus(tmp_path / "corpus", 2, 1, 1, seed=5)
+        assert len(plan) == len(entries)
+        for u, entry in zip(plan, entries):
+            assert Path(entry.path).name == f"s{u.speaker + 1:02d}_{u.vowel}_{u.split}{u.take:02d}.txt"
+            assert (entry.speaker_id, entry.vowel, entry.split) == (f"s{u.speaker + 1:02d}", u.vowel, u.split)
+            write_text_samples(synth_vowel(u.f0_hz, u.formants, 0.35, seed=u.seed, silence_pad_s=0.04),
+                               tmp_path / "alone.txt")
+            assert (tmp_path / "alone.txt").read_bytes() == Path(entry.path).read_bytes()
 
     def test_a_failed_write_leaves_the_rest_written_and_no_manifest(self, tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_extrema, composed_vector, random_stable_predictor, spectral_cepstra, toeplitz_lpc
-from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
+from psverify.synth import VOWEL_FORMANTS, synth_vowel
 from psverify.features import (
     CepstralVector,
     TemporalFeatures,

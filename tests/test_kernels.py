@@ -15,7 +15,7 @@ import sys
 import pytest
 
 import psverify
-from psverify.evaluation import synth_vowel
+from psverify.synth import synth_vowel
 from psverify.pipeline import utterance_features_from_file
 from psverify.signal_io import write_text_samples
 

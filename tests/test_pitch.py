@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import autocorr_period
-from psverify.evaluation import VOWEL_FORMANTS, synth_vowel
+from psverify.synth import VOWEL_FORMANTS, synth_vowel
 from psverify.pipeline import detect_marks, preprocess_signal
 from psverify.pitch import (
     HalfPeak,

@@ -34,11 +34,12 @@ from psverify.features import (
     pitch_synchronous_cepstra,
     temporal_features,
 )
-from psverify.evaluation import VOWEL_FORMANTS, load_manifest, synth_vowel
+from psverify.evaluation import load_manifest
 from psverify.modeling import ModelSet, SpeakerModel, load_models, save_models, speaker_id_error
 from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
 from psverify.pitch import compute_stats, extract_half_peaks
 from psverify.signal_io import SampleBuffer, load_text_samples
+from psverify.synth import VOWEL_FORMANTS, synth_vowel
 
 PROPERTY = settings(max_examples=200, deadline=None)
 
