@@ -103,9 +103,12 @@ def score_against_models(
     ids, matrix = model_set.table(features.vowel)
     if not ids:
         raise ValueError(f"no enrolled model for vowel {features.vowel!r}")
-    sq = (matrix - features.vector) ** 2
-    # einsum sums every row in the same order; BLAS gemv (`@`) rounds a row
-    # differently by its position, so equal models would not tie exactly.
+    # the matrix is column-major, so each step below runs 16 (12, 4) loops of
+    # length S, one per feature column, not S loops of 16
+    sq = matrix - features.vector
+    sq *= sq
+    # einsum adds the columns in the same order for every row; BLAS gemv (`@`)
+    # rounds a row differently by its position, so equal models would not tie.
     cep = np.einsum("ij,j->i", sq[:, TEMPORAL_DIM:], weights.cepstral_weights)
     tem = np.einsum("ij,j->i", sq[:, :TEMPORAL_DIM], weights.temporal_weights)
     # ids are sorted and argmin takes the first minimum, so ties break

@@ -3,8 +3,12 @@ file format they are saved in and loaded from.
 
 A ModelSet keeps each vowel's models as columns: the speaker ids in
 lexicographic order, its only index, a read-only (S, 16) matrix and an
-utterance-count array. `SpeakerModel` is the record that goes in through
-`add` and comes back out of the `models` view, in VOWELS order.
+utterance-count array. The matrix is column-major (F-contiguous): its
+buffer is (16, S), each feature's S values side by side, so scoring a test
+vector runs 16 loops of length S rather than S loops of 16, and a model
+file holds the same buffer, so a load and a save copy nothing.
+`SpeakerModel` is the record that goes in through `add` and comes back out
+of the `models` view, in VOWELS order.
 """
 
 import operator
@@ -21,7 +25,7 @@ from .features import LPC_ORDER, TEMPORAL_DIM, UtteranceFeatures, VOWELS
 from .signal_io import ArrayRecord
 
 MODEL_DIM = TEMPORAL_DIM + LPC_ORDER
-FORMAT_HEADER = "PSV-MODELS v2"
+FORMAT_HEADER = "PSV-MODELS v3"
 _MAX_UTTERANCES = int(np.iinfo(np.int64).max)
 
 
@@ -132,34 +136,43 @@ class ModelSet:
         values.frombytes(model.mean_features.astype(np.float64, copy=False).tobytes())
         counts.append(model.n_utterances)
 
-    def _merge(self, vowel: str, ids, matrix: np.ndarray, counts: np.ndarray) -> None:
-        """Merge new columns, in any order, into the vowel's. Ids already
-        strictly increasing skip the sort and its copy; sorted ids break
-        strict order only at a repeat: ValueError naming the smallest."""
+    def _merge(self, vowel: str, ids, columns: np.ndarray, counts: np.ndarray) -> None:
+        """Merge new models, given as (16, n) columns in any id order, into
+        the vowel's. Strictly increasing ids on a vowel with no columns keep
+        C-contiguous columns as they are; otherwise every column is written
+        once, straight to its sorted place in a new (16, S) buffer. Sorted ids
+        break strict order only at a repeat: ValueError naming the smallest."""
         old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
         ids = tuple(ids)
         if old_ids:
             ids = old_ids + ids
-            matrix = np.concatenate((old_matrix, matrix))
-            counts = np.concatenate((old_counts, counts))
         # a tuple that another vowel's columns hold is in order: load_models passes
         # equal id lines as one tuple, so a file's shared line is walked once
-        in_order = any(ids is other for other, _, _ in self._columns.values())
-        if not in_order and not all(map(operator.lt, ids, ids[1:])):
+        in_order = any(ids is other for other, _, _ in self._columns.values()) or all(
+            map(operator.lt, ids, ids[1:]))
+        if not in_order:
             order = sorted(range(len(ids)), key=ids.__getitem__)
             ids = tuple(ids[i] for i in order)
             if not all(map(operator.lt, ids, ids[1:])):
                 repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
                 raise ValueError(f"duplicate speaker id {repeated!r} for vowel {vowel!r}")
-            matrix, counts = matrix[order], counts[order]
-        matrix.flags.writeable = counts.flags.writeable = False
-        self._columns[vowel] = ids, matrix, counts
+        if old_ids or not (in_order and columns.flags.c_contiguous):
+            place = np.arange(len(ids))  # each model's column in the merged buffer
+            if not in_order:
+                place[order] = np.arange(len(ids))
+            old, new = place[:len(old_ids)], place[len(old_ids):]
+            merged, merged_counts = np.empty((MODEL_DIM, len(ids))), np.empty(len(ids), np.int64)
+            merged[:, old], merged_counts[old] = old_matrix.T, old_counts
+            merged[:, new], merged_counts[new] = columns, counts
+            columns, counts = merged, merged_counts
+        columns.flags.writeable = counts.flags.writeable = False
+        self._columns[vowel] = ids, columns.T, counts
 
     def _read(self, vowel: str):
         """The vowel's (ids, matrix, counts), queued models merged in."""
         ids, values, counts = self._queued.pop(vowel, _NO_QUEUE)
         if ids:
-            self._merge(vowel, ids, np.frombuffer(values).reshape(-1, MODEL_DIM), np.frombuffer(counts, np.int64))
+            self._merge(vowel, ids, np.frombuffer(values).reshape(-1, MODEL_DIM).T, np.frombuffer(counts, np.int64))
         return self._columns.get(vowel, _NO_COLUMNS)
 
     def speakers(self) -> list[str]:
@@ -167,7 +180,7 @@ class ModelSet:
 
     def table(self, vowel: str) -> tuple[tuple[str, ...], np.ndarray]:
         """The vowel's speaker ids in lexicographic order and their models
-        as a read-only (S, 16) matrix."""
+        as a read-only, F-contiguous (S, 16) matrix."""
         return self._read(vowel)[:2]
 
     def for_vowel(self, vowel: str) -> list[SpeakerModel]:
@@ -193,22 +206,22 @@ def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:
 
 
 def save_models(model_set: ModelSet, path) -> None:
-    """Write the v2 format: the header line; one line per vowel, in VOWELS
+    """Write the v3 format: the header line; one line per vowel, in VOWELS
     order, holding the vowel and its sorted speaker ids separated by
-    spaces; then, per vowel in the same order, its (S, 16) matrix as
-    little-endian float64 and its S counts as little-endian int64."""
+    spaces; then, per vowel in the same order, its 16 columns of S values
+    each as little-endian float64 and its S counts as little-endian int64."""
     columns = [model_set._read(vowel) for vowel in VOWELS]
     lines = [FORMAT_HEADER] + [" ".join((vowel, *ids)) for vowel, (ids, _, _) in zip(VOWELS, columns)]
     with open(path, "wb") as fh:
         fh.write(("\n".join(lines) + "\n").encode("utf-8"))
         for _, matrix, counts in columns:
-            # the columns' own buffers when they are already little-endian and contiguous
-            fh.write(np.ascontiguousarray(matrix, "<f8").data)
+            # matrix.T is the (16, S) buffer itself: no copy on a little-endian host
+            fh.write(np.ascontiguousarray(matrix.T, "<f8").data)
             fh.write(np.ascontiguousarray(counts, "<i8").data)
 
 
 def load_models(path) -> ModelSet:
-    """Read the v2 format back, or raise a ValueError naming the path: for
+    """Read the v3 format back, or raise a ValueError naming the path: for
     any other header, a vowel line out of place, a bad or repeated speaker
     id, a body whose size the id lines do not fix, a non-finite value or a
     count below 1."""
@@ -234,8 +247,8 @@ def load_models(path) -> ModelSet:
                         raise ValueError(f"line {lineno}: {error}")
                     ids = interned[tail] = tuple(map(sys.intern, ids))
                 ids_of.append(ids)
-            row_bytes = 8 * (MODEL_DIM + 1)
-            size = row_bytes * sum(map(len, ids_of))
+            model_bytes = 8 * (MODEL_DIM + 1)
+            size = model_bytes * sum(map(len, ids_of))
             # the body is read straight into a buffer of its own, with no copy:
             # the columns are views of it, 8-byte aligned wherever the id lines
             # end (numpy's arithmetic is slower over unaligned float64)
@@ -246,14 +259,14 @@ def load_models(path) -> ModelSet:
             model_set, offset = ModelSet(), 0
             for vowel, ids in zip(VOWELS, ids_of):
                 n = len(ids)
-                matrix = np.frombuffer(body, "<f8", n * MODEL_DIM, offset).reshape(n, MODEL_DIM)
+                columns = np.frombuffer(body, "<f8", n * MODEL_DIM, offset).reshape(MODEL_DIM, n)
                 counts = np.frombuffer(body, "<i8", n, offset + 8 * n * MODEL_DIM)
-                offset += n * row_bytes
-                if not np.isfinite(matrix).all():
+                offset += n * model_bytes
+                if not np.isfinite(columns).all():
                     raise ValueError(f"vowel {vowel!r}: model values must be finite")
                 if not (counts >= 1).all():
                     raise ValueError(f"vowel {vowel!r}: utterance counts must be at least 1")
-                model_set._merge(vowel, ids, matrix, counts)
+                model_set._merge(vowel, ids, columns, counts)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return model_set

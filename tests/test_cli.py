@@ -500,7 +500,7 @@ class TestRecognitionCommands:
         v1.write_text("PSV-MODELS v1\ns01 a 3 " + " ".join(["1.0"] * 16) + "\n")
         code = cli.main(["identify", str(vowel_file), "--models", str(v1), "--vowel", "a"])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {v1}: not a 'PSV-MODELS v2' model file; run enroll")
+        assert capsys.readouterr().err.startswith(f"error: {v1}: not a 'PSV-MODELS v3' model file; run enroll")
 
     def test_config_file_weights(self, enrolled, capsys):
         models_path, entries = enrolled

@@ -188,6 +188,22 @@ class TestScoreAgainstModels:
         assert report.argmin_temporal == "sa"
         assert report.argmin_cepstral == "sa"
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 17, 1003, 10007])
+    def test_equal_models_tie_exactly_at_every_table_size(self, n):
+        # each column is added to all S sums in vector steps and a scalar
+        # tail, so a row's sum may come from either; equal models must still
+        # give bit-equal distances, whatever the table size and their place
+        rng = np.random.default_rng(n)
+        near = np.concatenate((rng.uniform(1, 5, 4), rng.normal(0, 1, 12)))
+        far = near + rng.uniform(1, 3, 16)
+        model_set = set_of({**{f"s{j:05d}": far for j in range(n)}, "z1": near, "z0": near})
+        report = score_against_models(features_from(near + rng.normal(0, 0.1, 16)), model_set)
+        for distances in (report.cepstral_distances, report.temporal_distances):
+            assert len(set(distances[:n].tolist())) == 1
+            assert distances[-2] == distances[-1] < distances[0]
+        assert report.ids[-2:] == ("z0", "z1")
+        assert report.argmin_cepstral == report.argmin_temporal == "z0"
+
     def test_single_speaker(self):
         model_set = set_of({"only": np.ones(16)})
         report = score_against_models(features_from(np.zeros(16)), model_set)

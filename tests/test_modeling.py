@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -84,19 +85,32 @@ class TestBuildModel:
         np.testing.assert_allclose(model.mean_features[:4], 3.0 * base.mean_features[:4], rtol=1e-12)
 
 
-def v2_bytes(id_lines, rows=(), counts=b""):
-    """A model file built by hand: the v2 header, the five id lines, the
-    rows as little-endian float64, then `counts` as given."""
-    text = "\n".join(["PSV-MODELS v2", *id_lines]) + "\n"
-    return text.encode() + np.array(rows, "<f8").tobytes() + counts
+def v3_bytes(id_lines, values=(), counts=b""):
+    """A model file built by hand: the v3 header, the five id lines, the
+    values as little-endian float64 in the order given, then `counts`."""
+    text = "\n".join(["PSV-MODELS v3", *id_lines]) + "\n"
+    return text.encode() + np.array(values, "<f8").tobytes() + counts
 
 
-def v2_columns(columns):
-    """The data of a hand-made model file: per vowel, in VOWELS order, its
-    rows as little-endian float64, then its counts as little-endian int64."""
+def v3_columns(columns):
+    """The data of a hand-made model file: per vowel, in VOWELS order, the
+    16 columns of its (S, 16) rows as little-endian float64, then its
+    counts as little-endian int64."""
     return b"".join(
-        np.array(rows, "<f8").reshape(-1, 16).tobytes() + np.array(counts, "<i8").tobytes()
+        np.array(rows, "<f8").reshape(-1, 16).T.tobytes() + np.array(counts, "<i8").tobytes()
         for rows, counts in columns
+    )
+
+
+def v2_bytes(model_set):
+    """The file a v2 save wrote: the v3 layout but for its header and its
+    matrices, which were row-major."""
+    tables = [model_set.table(vowel) for vowel in VOWELS]
+    lines = ["PSV-MODELS v2"] + [" ".join((vowel, *ids)) for vowel, (ids, _) in zip(VOWELS, tables)]
+    return ("\n".join(lines) + "\n").encode() + b"".join(
+        matrix.astype("<f8").tobytes(order="C")
+        + np.array([m.n_utterances for m in model_set.for_vowel(vowel)], "<i8").tobytes()
+        for vowel, (_, matrix) in zip(VOWELS, tables)
     )
 
 
@@ -115,7 +129,7 @@ class TestPersistence:
     def test_empty_set_header_only(self, tmp_path):
         p = tmp_path / "models.bin"
         save_models(ModelSet(), p)
-        assert p.read_bytes() == b"PSV-MODELS v2\na\ne\ni\no\nu\n"
+        assert p.read_bytes() == b"PSV-MODELS v3\na\ne\ni\no\nu\n"
         assert load_models(p).models == {}
         p.write_bytes(b"")
         assert_refused(p, "run enroll again")
@@ -135,58 +149,69 @@ class TestPersistence:
     def test_wrong_value_count_reports_line(self, tmp_path):
         # 15 values where the id line promises a model of 16: the body is short
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(ONE_MODEL_LINES, [1.0] * 15, COUNT_3))
+        p.write_bytes(v3_bytes(ONE_MODEL_LINES, [1.0] * 15, COUNT_3))
         assert_refused(p, "model data holds 128 bytes, the id lines fix 136")
 
     def test_trailing_bytes_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(ONE_MODEL_LINES, [1.0] * 16, COUNT_3) + b"\n")
+        p.write_bytes(v3_bytes(ONE_MODEL_LINES, [1.0] * 16, COUNT_3) + b"\n")
         assert_refused(p, "model data holds 137 bytes, the id lines fix 136")
 
     def test_duplicate_key_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(["a spk spk", "e", "i", "o", "u"], [[1.0] * 16] * 2, COUNT_3 * 2))
+        p.write_bytes(v3_bytes(["a spk spk", "e", "i", "o", "u"], [[1.0] * 16] * 2, COUNT_3 * 2))
         assert_refused(p, "duplicate speaker id 'spk' for vowel 'a'")
 
     @pytest.mark.parametrize("sid", ["", "s\tt", "s\rt"])
     def test_bad_speaker_id_rejected(self, tmp_path, sid):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes([f"a s1 {sid}", "e", "i", "o", "u"], [[1.0] * 16] * 2, COUNT_3 * 2))
+        p.write_bytes(v3_bytes([f"a s1 {sid}", "e", "i", "o", "u"], [[1.0] * 16] * 2, COUNT_3 * 2))
         assert_refused(p, "line 2: speaker id must be non-empty")
 
     def test_bad_header_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
-        for header in (b"PSV-MODELS v3\n", b"PSV-MODELS v2 \n", b"\x93NUMPY\x01\x00"):
-            p.write_bytes(header + v2_bytes(ONE_MODEL_LINES, [1.0] * 16, COUNT_3).partition(b"\n")[2])
-            assert_refused(p, "not a 'PSV-MODELS v2' model file; run enroll again")
+        for header in (b"PSV-MODELS v2\n", b"PSV-MODELS v3 \n", b"\x93NUMPY\x01\x00"):
+            p.write_bytes(header + v3_bytes(ONE_MODEL_LINES, [1.0] * 16, COUNT_3).partition(b"\n")[2])
+            assert_refused(p, "not a 'PSV-MODELS v3' model file; run enroll again")
+
+    def test_readme_names_the_format(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert f"binary `{modeling.FORMAT_HEADER}` format" in readme.read_text(encoding="utf-8")
+
+    def test_a_v2_file_is_refused(self, tmp_path):
+        # a v2 file holds the same ids and bytes in another order, so it is
+        # refused by its header rather than read as scrambled models
+        p = tmp_path / "models.bin"
+        p.write_bytes(v2_bytes(random_model_set(np.random.default_rng(19), 4)))
+        assert_refused(p, "not a 'PSV-MODELS v3' model file; run enroll again")
 
     def test_malformed_number_reports_line(self, tmp_path):
         # a v1 text file is refused as a whole, whatever its numbers
         p = tmp_path / "models.txt"
         for values in (["1.0"] * 16, ["1.0"] * 15 + ["oops"]):
             p.write_text("PSV-MODELS v1\nspk a 3 " + " ".join(values) + "\n")
-            assert_refused(p, "not a 'PSV-MODELS v2' model file; run enroll again")
+            assert_refused(p, "not a 'PSV-MODELS v3' model file; run enroll again")
 
     def test_unknown_vowel_reports_line(self, tmp_path):
         # the id lines go in VOWELS order, so a vowel out of place names its line
         p = tmp_path / "models.bin"
         for lines, lineno in ((["a", "e", "y", "o", "u"], 4), (["a", "e", "o spk", "i", "u"], 4),
                               (["a spk", "e", "i", "o"], None)):
-            p.write_bytes(v2_bytes(lines, [1.0] * 16, COUNT_3))
+            p.write_bytes(v3_bytes(lines, [1.0] * 16, COUNT_3))
             assert_refused(p, f"line {lineno}: expected the speaker ids of vowel" if lineno
                            else "file ends inside the speaker id lines")
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_reports_line(self, tmp_path, bad):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(["a", "e spk", "i", "o", "u"], [1.0] * 15 + [float(bad)], COUNT_3))
+        p.write_bytes(v3_bytes(["a", "e spk", "i", "o", "u"], [1.0] * 15 + [float(bad)], COUNT_3))
         assert_refused(p, "vowel 'e': model values must be finite")
 
     @pytest.mark.parametrize("count", ["0", "-2", str(2**63)])
     def test_bad_count_reports_line(self, tmp_path, count):
         # 2**63 does not fit an int64: its bits read back as -2**63
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(["a", "e spk", "i", "o", "u"], [1.0] * 16, (int(count) % 2**64).to_bytes(8, "little")))
+        p.write_bytes(v3_bytes(["a", "e spk", "i", "o", "u"], [1.0] * 16, (int(count) % 2**64).to_bytes(8, "little")))
         assert_refused(p, "vowel 'e': utterance counts must be at least 1")
 
     def test_load_builds_no_speaker_models(self, tmp_path, monkeypatch):
@@ -216,16 +241,17 @@ class TestPersistence:
 class TestIdLines:
     def test_unsorted_line_loads_sorted_with_its_rows(self, tmp_path):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(["a s2 s1", "e", "i", "o", "u"]) + v2_columns([([[2.0] * 16, [1.0] * 16], [7, 5])]))
+        rows = [np.arange(16.0) + 20, np.arange(16.0)]
+        p.write_bytes(v3_bytes(["a s2 s1", "e", "i", "o", "u"]) + v3_columns([(rows, [7, 5])]))
         loaded = load_models(p)
         ids, matrix = loaded.table("a")
         assert ids == ("s1", "s2")
-        np.testing.assert_array_equal(matrix, [[1.0] * 16, [2.0] * 16])
+        np.testing.assert_array_equal(matrix, rows[::-1])
         assert [m.n_utterances for m in loaded.for_vowel("a")] == [5, 7]
 
     def test_repeated_id_in_unsorted_line_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(["a s2 s1 s2", "e", "i", "o", "u"], [[1.0] * 16] * 3, COUNT_3 * 3))
+        p.write_bytes(v3_bytes(["a s2 s1 s2", "e", "i", "o", "u"], [[1.0] * 16] * 3, COUNT_3 * 3))
         assert_refused(p, "duplicate speaker id 's2' for vowel 'a'")
 
     @pytest.mark.parametrize("lines, lineno, first_bad", [
@@ -234,7 +260,7 @@ class TestIdLines:
     ])
     def test_first_bad_id_is_named(self, tmp_path, lines, lineno, first_bad):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes(lines))
+        p.write_bytes(v3_bytes(lines))
         error = f"line {lineno}: speaker id must be non-empty and contain no whitespace: {first_bad!r}"
         assert_refused(p, re.escape(error) + "$")
 
@@ -245,7 +271,7 @@ class TestIdLines:
     def test_an_id_is_one_string_across_vowels(self, tmp_path, lines):
         p = tmp_path / "models.bin"
         sizes = [len(line.split()) - 1 for line in lines]
-        p.write_bytes(v2_bytes(lines) + v2_columns(([[1.0] * 16] * n, [3] * n) for n in sizes))
+        p.write_bytes(v3_bytes(lines) + v3_columns(([[1.0] * 16] * n, [3] * n) for n in sizes))
         loaded = load_models(p)
         for sid in loaded.speakers():
             objects = {id(ids[ids.index(sid)]) for ids in (loaded.table(v)[0] for v in VOWELS) if sid in ids}
@@ -253,27 +279,12 @@ class TestIdLines:
 
     def test_a_shared_id_line_is_checked_for_order_once(self, tmp_path, monkeypatch):
         p = tmp_path / "models.bin"
-        p.write_bytes(v2_bytes([f"{vowel} s1 s2 s3" for vowel in VOWELS]) + v2_columns([([[1.0] * 16] * 3, [3] * 3)] * 5))
+        p.write_bytes(v3_bytes([f"{vowel} s1 s2 s3" for vowel in VOWELS]) + v3_columns([([[1.0] * 16] * 3, [3] * 3)] * 5))
         compared = []
         monkeypatch.setattr(modeling, "operator", SimpleNamespace(lt=lambda a, b: compared.append(a) or a < b))
         loaded = load_models(p)
         assert compared == ["s1", "s2"]
         assert all(loaded.table(vowel)[0] == ("s1", "s2", "s3") for vowel in VOWELS)
-
-    @pytest.mark.parametrize("hand_made", [False, True])
-    def test_loaded_matrices_are_read_only_contiguous_and_aligned(self, tmp_path, hand_made):
-        p = tmp_path / "models.bin"
-        if hand_made:  # unsorted, so the loader sorts its rows
-            p.write_bytes(v2_bytes([f"{vowel} s2 s1" for vowel in VOWELS]) + v2_columns([([[1.0] * 16] * 2, [3, 3])] * 5))
-        else:
-            save_models(random_model_set(np.random.default_rng(16), 4), p)
-        loaded = load_models(p)
-        for vowel in VOWELS:
-            matrix = loaded.table(vowel)[1]
-            assert matrix.flags.c_contiguous and matrix.flags.aligned
-            assert not matrix.flags.writeable
-            with pytest.raises(ValueError):
-                matrix[0, 0] = 0.0
 
 
 class TestModelValidation:
@@ -330,6 +341,56 @@ class TestColumns:
         np.testing.assert_array_equal(matrix[:, 0], [2.0, 3.0, 2.0])
         assert model_set.speakers() == ["s1", "s10", "s9"]
         assert model_set.table("u")[0] == ()
+
+    @pytest.mark.parametrize("way", ["added", "merged", "loaded", "hand_made"])
+    def test_every_table_is_read_only_aligned_and_column_major(self, tmp_path, way):
+        rng, p = np.random.default_rng(16), tmp_path / "models.bin"
+        model_set = random_model_set(rng, 4)
+        if way == "merged":  # a second batch, its ids between the first's, joins merged columns
+            for vowel in VOWELS:
+                model_set.table(vowel)
+                for sid in ("s00x", "s02x"):
+                    model_set.add(SpeakerModel(sid, vowel, rng.normal(size=16), 1))
+        elif way == "loaded":
+            save_models(model_set, p)
+            model_set = load_models(p)
+        elif way == "hand_made":  # unsorted, so the loader sorts its columns
+            p.write_bytes(v3_bytes([f"{vowel} s2 s1" for vowel in VOWELS])
+                          + v3_columns([(rng.normal(size=(2, 16)), [3, 3])] * 5))
+            model_set = load_models(p)
+        for vowel in VOWELS:
+            ids, matrix = model_set.table(vowel)
+            assert len(ids) == {"merged": 6, "hand_made": 2}.get(way, 4)
+            assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous and matrix.flags.aligned
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 0.0
+
+    def test_save_writes_the_loaded_columns_and_neither_side_copies_them(self, tmp_path):
+        rows = np.random.default_rng(20).normal(size=(20_000, 16))
+        model_set = ModelSet()
+        for j, row in enumerate(rows):
+            model_set.add(SpeakerModel(f"s{j:05d}", "a", row, 1 + j % 3))
+        p, again = tmp_path / "models.bin", tmp_path / "again.bin"
+        save_models(model_set, p)
+        tracemalloc.start()
+        try:
+            loaded = load_models(p)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            save_models(loaded, again)
+            save_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        _, matrix = loaded.table("a")
+        counts = np.array([m.n_utterances for m in loaded.for_vowel("a")], "<i8")
+        assert again.read_bytes() == p.read_bytes()
+        assert p.read_bytes().endswith(b"\nu\n" + matrix.T.tobytes() + counts.tobytes())
+        # the body is read once, and its 2.56 MB of values saved from the same
+        # buffer: a copy would add as much again; the rest of either peak is
+        # the 20k ids, as strings or as the id line's text
+        assert matrix.nbytes < load_peak < p.stat().st_size + 0.6 * matrix.nbytes
+        assert save_peak < 0.3 * matrix.nbytes
 
     def test_count_must_be_an_integer(self):
         with pytest.raises(TypeError):
@@ -528,7 +589,7 @@ def test_hand_made_file_loads_like_the_added_set(model_path, records):
     loads to the same columns as adding the records one by one."""
     by_vowel = [[r for r in records if r[1] == vowel] for vowel in VOWELS]
     lines = [" ".join((vowel, *(r[0] for r in rs))) for vowel, rs in zip(VOWELS, by_vowel)]
-    model_path.write_bytes(v2_bytes(lines) + v2_columns(([r[3] for r in rs], [r[2] for r in rs]) for rs in by_vowel))
+    model_path.write_bytes(v3_bytes(lines) + v3_columns(([r[3] for r in rs], [r[2] for r in rs]) for rs in by_vowel))
     loaded, added = load_models(model_path), model_set_of(records)
     assert loaded.speakers() == added.speakers()
     for vowel in VOWELS:
