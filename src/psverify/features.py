@@ -4,8 +4,15 @@ Four intrapitch temporal features (average crest/trough counts per pitch
 period, keyed by the sign of the 3-sample window centre) plus 12 cepstral
 coefficients from order-12 LPC over sliding frames of three consecutive
 pitch periods, averaged over at most 18 frames.
+
+The cepstral back end takes and returns (F, n) arrays, one row per frame,
+but solves on their (n, F) transposes: each order step is then a handful of
+numpy calls on rows of F values, frames along the contiguous axis. Every
+sum over a frame's terms runs down its column in order (`_in_order_sum`),
+so each frame rounds as a scalar loop over it alone would.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +39,7 @@ class TemporalFeatures:
     def __post_init__(self):
         for name in ("poc", "pot", "nec", "net"):
             v = getattr(self, name)
-            if not np.isfinite(v) or v < 0:
+            if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {v}")
 
     @property
@@ -79,7 +86,7 @@ def select_steady_state(buffer: SampleBuffer, periods: np.ndarray) -> np.ndarray
     if n < 3:
         raise ValueError(f"need at least 3 pitch periods, got {n}")
     peak_idx = int(np.argmax(np.abs(buffer.samples)))
-    p = int(np.clip(np.searchsorted(periods[:, 0], peak_idx, side="right") - 1, 0, n - 1))
+    p = min(max(int(np.searchsorted(periods[:, 0], peak_idx, side="right")) - 1, 0), n - 1)
     return periods[max(0, p - REGION_PERIODS_BEFORE) : p + REGION_PERIODS_AFTER + 1]
 
 
@@ -128,45 +135,62 @@ def temporal_features(buffer: SampleBuffer, region: np.ndarray) -> TemporalFeatu
     return TemporalFeatures(*totals)
 
 
+def _autocorrelations(frames, max_lag: int) -> np.ndarray:
+    """R[k] = sum_n frame[n] * frame[n+k] for k = 0..max_lag, no tapering, of
+    each 1-D float64 frame: an (F, max_lag + 1) array, or the ValueError of
+    the first frame, in order, that has none."""
+    short = next((i for i, frame in enumerate(frames) if frame.size <= max_lag), len(frames))
+    # ndarray.dot is the BLAS ddot that `@` calls on two vectors, with less dispatch
+    r = np.array([[frame[: frame.size - k].dot(frame[k:]) for k in range(max_lag + 1)]
+                  for frame in frames[:short]]).reshape(short, max_lag + 1)
+    if (r[:, 0] <= 0.0).any():
+        raise ValueError("all-zero frame has no autocorrelation")
+    if short < len(frames):
+        raise ValueError(f"frame of {frames[short].size} samples too short for lag {max_lag}")
+    return r
+
+
 def autocorrelation(frame, max_lag: int = LPC_ORDER) -> np.ndarray:
     """R[k] = sum_n frame[n] * frame[n+k] for k = 0..max_lag, no tapering."""
-    frame = np.asarray(frame, dtype=np.float64)
-    n = frame.size
-    if n <= max_lag:
-        raise ValueError(f"frame of {n} samples too short for lag {max_lag}")
-    r = np.array([frame[: n - k] @ frame[k:] for k in range(max_lag + 1)])
-    if r[0] <= 0.0:
-        raise ValueError("all-zero frame has no autocorrelation")
-    return r
+    return _autocorrelations([np.asarray(frame, dtype=np.float64)], max_lag)[0]
+
+
+def _in_order_sum(rows) -> np.ndarray:
+    """The sum of the rows of `rows`, added first to last as a scalar loop
+    adds. np.add.reduce down axis 0 would sum a single column (F = 1)
+    pairwise, so its rounding would depend on the batch's width."""
+    return np.add.accumulate(rows, axis=0)[-1]
 
 
 @np.errstate(all="ignore")  # a failed row runs on into inf and nan
 def _levinson_batch(r):
     """Levinson-Durbin on each row of r (F frames x order+1 lags) at once.
 
-    Every sum is accumulated left to right, as a scalar loop over one frame
-    would, so each row rounds exactly as if it were solved alone. The rows
-    are checked once, after the recursion: a row keeps its solo values up
-    to its first failed check (`first`, see _first_failed_checks), which
-    therefore fails as it would alone. A failed row's coefficients are zeroed.
+    The recursion runs on r's transpose, one frame per column, and returns
+    (F, n) views of its column arrays. Every sum is accumulated in order, as
+    a scalar loop over one frame would, so each frame rounds exactly as if it
+    were solved alone. The frames are checked once, after the recursion: a
+    frame keeps its solo values up to its first failed check (`first`, see
+    _first_failed_checks), which therefore fails as it would alone. A failed
+    frame's coefficients are zeroed.
     """
-    frames, order = r.shape[0], r.shape[1] - 1
-    a = np.zeros((frames, order))
-    k = np.empty((frames, order))
-    err = np.empty((frames, order + 1))
-    err[:, 0] = r[:, 0]
-    terms = np.zeros((frames, order))  # column 0 stays 0.0, where each sum starts
+    r = np.ascontiguousarray(r.T)  # (order+1, F)
+    order, frames = r.shape[0] - 1, r.shape[1]
+    a = np.zeros((order, frames))
+    k = np.empty((order, frames))
+    err = np.empty((order + 1, frames))
+    err[0] = r[0]
+    terms = np.zeros((order, frames))  # row 0 stays 0.0, where each sum starts
     for i in range(1, order + 1):
-        e_prev = err[:, i - 1]
-        np.multiply(a[:, : i - 1], r[:, i - 1 : 0 : -1], out=terms[:, 1:i])
-        ki = (r[:, i] - terms[:, :i].cumsum(axis=1)[:, -1]) / e_prev
-        a[:, : i - 1] -= ki[:, None] * a[:, : i - 1][:, ::-1]
-        a[:, i - 1] = ki
-        k[:, i - 1] = ki
-        err[:, i] = (1.0 - ki * ki) * e_prev
-    first = _first_failed_checks(err, k)
-    a[first <= 2 * order] = 0.0
-    return a, k, err, first
+        e_prev, head, ki = err[i - 1], a[: i - 1], k[i - 1]
+        np.multiply(head, r[i - 1 : 0 : -1], out=terms[1:i])
+        np.divide(r[i] - _in_order_sum(terms[:i]), e_prev, out=ki)
+        head -= ki * head[::-1]
+        a[i - 1] = ki
+        np.multiply(1.0 - ki * ki, e_prev, out=err[i])
+    first = _first_failed_checks(err.T, k.T)
+    a[:, first <= 2 * order] = 0.0
+    return a.T, k.T, err.T, first
 
 
 def _first_failed_checks(err, k) -> np.ndarray:
@@ -219,18 +243,24 @@ def levinson_durbin(r, order: int | None = None):
 
 
 def _cepstra_batch(a) -> np.ndarray:
-    """Cepstral recursion on each row of a (F frames x p predictor coefficients).
+    """Cepstral recursion on each row of a (F frames x p predictor
+    coefficients), solved on its transpose: an (F, p) view of the (p, F)
+    column result.
 
-    Each c_n is summed left to right from a_n, as a scalar loop would.
+    Each c_n is summed in order from a_n, as a scalar loop would.
     """
+    a = np.ascontiguousarray(a.T)  # (p, F)
+    p = a.shape[0]
+    ratios = np.arange(1, p)[:, None] / np.arange(1, p + 1)  # j/n at [j - 1, n - 1]
     c = np.empty_like(a)
     terms = np.empty_like(a)
-    for n in range(1, a.shape[1] + 1):
+    for n in range(1, p + 1):
         # a_n, then (j/n) c_j a_{n-j} for j = 1..n-1, each rounded as (j/n * c_j) * a_{n-j}
-        terms[:, 0] = a[:, n - 1]
-        np.multiply(np.arange(1, n) / n * c[:, : n - 1], a[:, : n - 1][:, ::-1], out=terms[:, 1:n])
-        c[:, n - 1] = terms[:, :n].cumsum(axis=1)[:, -1]
-    return c
+        terms[0] = a[n - 1]
+        np.multiply(ratios[: n - 1, n - 1 : n], c[: n - 1], out=terms[1:n])
+        terms[1:n] *= a[: n - 1][::-1]
+        c[n - 1] = _in_order_sum(terms[:n])
+    return c.T
 
 
 def lpc_to_cepstral(a) -> CepstralVector:
@@ -246,18 +276,16 @@ def cepstral_lags(buffer: SampleBuffer, region: np.ndarray) -> np.ndarray:
     """Lags 0..12 of the autocorrelation of each sliding frame, (F, 13).
 
     Frame i spans region periods i, i+1, i+2; each iteration drops the
-    first period and appends the next, for F = min(N-2, 18) frames.
+    first period and appends the next, for F = min(N-2, 18) frames. The
+    first frame, in order, that has no autocorrelation raises its error.
     """
     n = len(region)
     if n < 3:
         raise ValueError(f"region too short: {n} periods, need 3")
-    n_frames = min(n - 2, MAX_CEPSTRAL_FRAMES)
     x = buffer.samples
     starts, lengths = region.T.tolist()  # Python ints slice faster than numpy scalars
-    r = np.empty((n_frames, LPC_ORDER + 1))
-    for i in range(n_frames):
-        r[i] = autocorrelation(x[starts[i] : starts[i + 2] + lengths[i + 2]])
-    return r
+    return _autocorrelations([x[starts[i] : starts[i + 2] + lengths[i + 2]]
+                              for i in range(min(n - 2, MAX_CEPSTRAL_FRAMES))], LPC_ORDER)
 
 
 def average_cepstra(lag_matrices) -> list:
@@ -270,10 +298,8 @@ def average_cepstra(lag_matrices) -> list:
     for lags in lag_matrices:
         start, stop = stop, stop + len(lags)
         error = _check_error(first[start:stop].min(initial=2 * LPC_ORDER + 1), LPC_ORDER)
-        acc = np.zeros(LPC_ORDER)
-        for c in cepstra[start:stop]:  # frames summed in order
-            acc += c
-        averages.append(acc / len(lags) if error is None else error)
+        # + 0.0 as a loop's sum starts from 0.0: it turns a sum of -0.0s into 0.0
+        averages.append((_in_order_sum(cepstra[start:stop]) + 0.0) / len(lags) if error is None else error)
     return averages
 
 

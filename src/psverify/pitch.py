@@ -12,6 +12,7 @@ a threshold derived from the previously marked peak, subject to period
 bounds.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +121,22 @@ def extract_half_peaks(buffer: SampleBuffer) -> HalfPeaks:
 
 
 def compute_stats(peaks: HalfPeaks) -> dict[int, tuple[float, float, float]]:
-    """(AMPV (mean MPD), spread, maximum) of the MPDs, keyed by sign."""
+    """(AMPV (mean MPD), spread, maximum) of the MPDs, keyed by sign.
+
+    The spread is the population standard deviation. Both are the ufunc
+    sequence of numpy's mean and std, so they equal m.mean() and m.std()
+    bit for bit, without those methods' Python-level dispatch.
+    """
     mpds = {sign: peaks.mpds[peaks.signs == sign] for sign in (1, -1)}
     if mpds[1].size == 0 or mpds[-1].size == 0:
         raise ValueError("need at least one half of each polarity")
-    return {sign: (float(m.mean()), float(m.std()), float(m.max())) for sign, m in mpds.items()}
+    stats = {}
+    for sign, m in mpds.items():
+        mean = np.add.reduce(m) / m.size
+        dev = m - mean
+        np.multiply(dev, dev, out=dev)
+        stats[sign] = float(mean), math.sqrt(np.add.reduce(dev) / m.size), float(np.maximum.reduce(m))
+    return stats
 
 
 def choose_polarity(stats: dict[int, tuple[float, float, float]]) -> int:

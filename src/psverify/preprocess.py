@@ -48,7 +48,8 @@ def speech_span(x: np.ndarray) -> tuple[int, int]:
     if n < FRAME_LEN:
         raise ValueError(f"signal of {n} samples is shorter than one frame ({FRAME_LEN})")
     n_frames = (n - FRAME_LEN) // FRAME_SHIFT + 1
-    sq = np.concatenate((np.zeros(1), np.cumsum(x * x)))
+    sq = np.zeros(n + 1)  # running energy; sq[i] sums the first i squared samples
+    np.cumsum(x * x, out=sq[1:])
     starts = np.arange(n_frames) * FRAME_SHIFT
     energies = (sq[starts + FRAME_LEN] - sq[starts]) / FRAME_LEN
     k = min(SILENCE_FRAMES, n_frames)

@@ -83,6 +83,97 @@ def brute_half_peaks(x):
     return pol[:count].copy(), idx[:count].copy(), val[:count].copy()
 
 
+def numpy_order_sum(values):
+    """sum(values) added in the order numpy adds a contiguous float64 array:
+    in order below 8 values; up to 128, into 8 interleaved running sums that
+    are then added pairwise, and the rest in order; above that, each half
+    (split at a multiple of 8) alone."""
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return numpy_order_sum(values[:half]) + numpy_order_sum(values[half:])
+    lanes = list(values[:8])
+    stop = n - n % 8
+    for i in range(8, stop, 8):
+        for j in range(8):
+            lanes[j] += values[i + j]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for v in values[stop:]:
+        total += v
+    return total
+
+
+def literal_marks(x, min_period, max_period):
+    """The paper's pitch-mark rule over the samples x, in plain Python: the
+    (mark indices, polarity) it places, or None where it places no two marks.
+
+    A half is a maximal run of strictly positive or strictly negative
+    samples, its peak the first sample of largest magnitude, and its MPD the
+    larger absolute difference between its peak and those of the previous
+    and next halves of its sign (0 where there is none). Each sign's AMPV is
+    the mean of its MPDs, its spread their population standard deviation.
+    The sign with the smaller spread / AMPV is scanned, +1 on a tie or where
+    either AMPV is 0. Each half's x is its MPD's interval among the ten of
+    [0, AMPV] (1..10) or the ten of (AMPV, max MPD] (11..20), and its
+    threshold magnitude is (1 - x/100) of its peak's. The first half of the
+    sign is marked; a later one is marked when its distance from the last
+    mark lies in [min_period, max_period] and its magnitude reaches the last
+    mark's threshold.
+
+    Each formula rounds as the library's does, and each sum is added in
+    numpy's order (`numpy_order_sum`): exact ties, as between proportional
+    MPD lists, then break the same way in both."""
+    halves = {1: [], -1: []}  # sign -> [(peak index, peak value)]
+    run = 0
+    for i, v in enumerate(x):
+        v = float(v)
+        sign = (v > 0.0) - (v < 0.0)
+        if sign and sign == run:
+            _, peak = halves[sign][-1]
+            if abs(v) > abs(peak):
+                halves[sign][-1] = (i, v)
+        elif sign:
+            halves[sign].append((i, v))
+        run = sign
+    if not halves[1] or not halves[-1]:
+        return None
+    mpds, stats = {}, {}
+    for sign, peaks in halves.items():
+        values = [v for _, v in peaks]
+        diffs = [abs(b - a) for a, b in zip(values, values[1:])]
+        mpds[sign] = [max(before, after) for before, after in zip([0.0] + diffs, diffs + [0.0])]
+        ampv = numpy_order_sum(mpds[sign]) / len(values)
+        spread = math.sqrt(numpy_order_sum([(m - ampv) * (m - ampv) for m in mpds[sign]]) / len(values))
+        stats[sign] = ampv, spread, max(mpds[sign])
+    (ampv_pos, spread_pos, _), (ampv_neg, spread_neg, _) = stats[1], stats[-1]
+    if ampv_pos == 0.0 or ampv_neg == 0.0 or spread_pos / ampv_pos <= spread_neg / ampv_neg:
+        polarity = 1
+    else:
+        polarity = -1
+    ampv, _, max_mpd = stats[polarity]
+    thresholds = []
+    for (_, value), mpd in zip(halves[polarity], mpds[polarity]):
+        if mpd <= ampv:
+            x_index = 1 if ampv <= 0.0 else min(math.floor(mpd * 10.0 / ampv) + 1, 10)
+        elif max_mpd - ampv <= 0.0:
+            x_index = 20
+        else:
+            x_index = 10 + min(max(math.ceil((mpd - ampv) * 10.0 / (max_mpd - ampv)), 1), 10)
+        thresholds.append(abs(value) * (1.0 - x_index / 100.0))
+    peaks = halves[polarity]
+    marks, threshold = [peaks[0][0]], thresholds[0]
+    for (index, value), next_threshold in zip(peaks[1:], thresholds[1:]):
+        if min_period <= index - marks[-1] <= max_period and abs(value) >= threshold:
+            marks.append(index)
+            threshold = next_threshold
+    return (marks, polarity) if len(marks) >= 2 else None
+
+
 def toeplitz_lpc(r, order):
     """Dense solve of the Toeplitz normal equations."""
     r = np.asarray(r, dtype=np.float64)
@@ -109,6 +200,25 @@ def loop_levinson(r):
         k[i - 1] = ki
         err[i] = (1.0 - ki * ki) * err[i - 1]
     return a, k, err
+
+
+def scalar_levinson(r):
+    """Levinson-Durbin on one frame in Python floats, each sum added term by
+    term from 0.0: the rounding the batch kernel keeps for every frame,
+    whatever the batch's width. (a, k, err) as arrays."""
+    r = [float(v) for v in r]
+    order = len(r) - 1
+    a, k, err = [0.0] * order, [], [r[0]]
+    for i in range(1, order + 1):
+        acc = 0.0
+        for j in range(1, i):
+            acc += a[j - 1] * r[i - j]
+        ki = (r[i] - acc) / err[-1]
+        a[: i - 1] = [a[j] - ki * a[i - 2 - j] for j in range(i - 1)]
+        a[i - 1] = ki
+        k.append(ki)
+        err.append((1.0 - ki * ki) * err[-1])
+    return np.array(a), np.array(k), np.array(err)
 
 
 def first_ill_conditioned(r):

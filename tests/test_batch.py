@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import composed_vector, first_ill_conditioned, loop_cepstra
+from helpers import composed_vector, first_ill_conditioned, loop_cepstra, scalar_levinson
 from psverify import cli, evaluation, features, pipeline
 from psverify.evaluation import make_synthetic_corpus, run_evaluation
 from psverify.features import (
     LPC_ORDER,
+    MAX_CEPSTRAL_FRAMES,
+    VOWELS,
     autocorrelation,
     average_cepstra,
     cepstral_lags,
@@ -98,6 +100,64 @@ def frame_by_frame(lags):
     for row in lags:
         acc += lpc_to_cepstral(levinson_durbin(row)[0]).c
     return acc / len(lags)
+
+
+def scalar_average(lags):
+    """Average of the scalar-loop cepstra of each frame, frames in order."""
+    acc = np.zeros(LPC_ORDER)
+    for row in lags:
+        acc += loop_cepstra(scalar_levinson(row)[0])
+    return acc / len(lags)
+
+
+@pytest.fixture(scope="module")
+def long_utterance():
+    """A 0.5 s /a/ at 120 Hz, preprocessed, and its marked periods: about 60."""
+    buffer = preprocess_signal(synth_vowel(120.0, VOWEL_FORMANTS["a"], 0.5, seed=4, silence_pad_s=0.04))
+    return buffer, periods_from_marks(detect_marks(buffer))
+
+
+@pytest.fixture(scope="module")
+def share_lags():
+    """The lag matrices of a 75-utterance share: 15 F0s of each vowel."""
+    matrices = []
+    for i in range(75):
+        vowel = VOWELS[i % len(VOWELS)]
+        raw = synth_vowel(90.0 + 3.0 * i, VOWEL_FORMANTS[vowel], 0.3, seed=i, silence_pad_s=0.04)
+        buffer = preprocess_signal(raw)
+        matrices.append(cepstral_lags(buffer, select_steady_state(buffer, periods_from_marks(detect_marks(buffer)))))
+    return matrices
+
+
+def assert_solved_as_alone(matrices):
+    """Every frame of the batch solves as levinson_durbin and the scalar loop
+    solve it alone, and every matrix averages as frame_by_frame and the
+    scalar loop do, byte for byte."""
+    rows = np.vstack(matrices)
+    a, k, err, checks = features._levinson_batch(rows)
+    assert (checks == PASSED).all()
+    for row, *solved in zip(rows, a, k, err):
+        for batch, solo, scalar in zip(solved, levinson_durbin(row), scalar_levinson(row)):
+            assert batch.tobytes() == solo.tobytes() == scalar.tobytes()
+    for matrix, average in zip(matrices, average_cepstra(matrices)):
+        assert average.tobytes() == frame_by_frame(matrix).tobytes() == scalar_average(matrix).tobytes()
+
+
+class TestFrameAxisEdges:
+    """The frame axis at its edges. With F = 1 (a three-period region) the
+    column arrays are one frame wide, where np.add.reduce would quietly sum
+    pairwise; F = 2, the 18 frames of a full region, and a share of 75."""
+
+    @pytest.mark.parametrize("periods", [3, 4, 20])
+    def test_one_region(self, long_utterance, periods):
+        buffer, all_periods = long_utterance
+        lags = cepstral_lags(buffer, all_periods[:periods])
+        assert len(lags) == periods - 2
+        assert_solved_as_alone([lags])
+
+    def test_share(self, share_lags):
+        assert len(share_lags) == 75 and max(len(lags) for lags in share_lags) == MAX_CEPSTRAL_FRAMES
+        assert_solved_as_alone(share_lags)
 
 
 class TestMasking:

@@ -20,6 +20,7 @@ from psverify.features import (
     temporal_features,
 )
 from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
+from psverify.pitch import periods_from_marks
 from psverify.signal_io import SampleBuffer
 
 
@@ -280,6 +281,32 @@ class TestPitchSynchronousCepstra:
         averaged = pitch_synchronous_cepstra(buffer, region)
         single = self.manual_average(buffer, region, 1)
         np.testing.assert_allclose(averaged.c, single, rtol=1e-12)
+
+
+class TestCepstralLags:
+    def test_each_row_is_its_frames_autocorrelation(self):
+        raw = synth_vowel(130.0, VOWEL_FORMANTS["o"], 0.4, 16000, seed=2, silence_pad_s=0.05)
+        buffer = preprocess_signal(raw)
+        region = periods_from_marks(detect_marks(buffer))[:20]
+        lags = cepstral_lags(buffer, region)
+        assert lags.shape == (18, 13)
+        for i, row in enumerate(lags):
+            frame = buffer.samples[region[i, 0] : region[i + 2, 0] + region[i + 2, 1]]
+            assert row.tobytes() == autocorrelation(frame).tobytes()
+
+    def test_all_zero_frame_before_a_short_one_fails_as_all_zero(self):
+        # frame 0 is samples 0..23, all zero; frame 1 is samples 20..25, too short
+        x = np.zeros(40)
+        x[24:] = 1.0
+        with pytest.raises(ValueError, match="^all-zero frame has no autocorrelation$"):
+            cepstral_lags(buf(x), np.array([[0, 20], [20, 2], [22, 2], [24, 2]]))
+
+    def test_short_frame_before_an_all_zero_one_fails_as_short(self):
+        # frame 0 is samples 0..5, too short; frame 1 is samples 2..25, all zero
+        x = np.zeros(40)
+        x[:2] = 1.0
+        with pytest.raises(ValueError, match="^frame of 6 samples too short for lag 12$"):
+            cepstral_lags(buf(x), np.array([[0, 2], [2, 2], [4, 2], [6, 20]]))
 
 
 class TestExtractUtteranceFeatures:

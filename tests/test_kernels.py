@@ -1,10 +1,11 @@
 """The retired PSVERIFY_NUMBA flag is inert, the command line loads no
 module it does not need, and generating a corpus loads no scipy module.
 
-psverify once shipped numba-compiled kernels that PSVERIFY_NUMBA=0 (or
-false/no/off) switched off. The pipeline now has one numpy path, so an
-environment that still sets the flag must get that path with the same
-features, and numba is never loaded.
+psverify once shipped numba-compiled kernels that PSVERIFY_NUMBA=1 switched
+on and 0 (or false/no/off) switched off. The pipeline now has one numpy
+path and no module reads the flag, so an environment that still sets it,
+to either value, must get that path with the same features, and numba is
+never loaded. One interpreter imports psverify afresh under each value.
 """
 
 import json
@@ -19,21 +20,28 @@ from psverify.synth import synth_vowel
 from psverify.pipeline import utterance_features_from_file
 from psverify.signal_io import write_text_samples
 
-# The flag was read once at import, so only a fresh interpreter can show
-# that it no longer matters. The child must import the very copy of
+# The flag was read once at import, so only a fresh import can show that it
+# no longer matters. The child drops every psverify module and imports the
+# package again under each value in turn; it must import the very copy of
 # psverify under test, must not find the old kernel module or load numba
-# (nor scipy.signal), and prints its feature vector for the parent to
-# compare bit for bit.
+# (nor scipy.signal), and prints each value's feature vector for the parent
+# to compare bit for bit.
 CHILD = """
 import importlib.util, json, os, sys
-import psverify
-from psverify.pipeline import utterance_features_from_file
-assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
-assert importlib.util.find_spec("psverify._kernels") is None
-features = utterance_features_from_file(sys.argv[2], "a")
+vectors = {}
+for value in json.loads(sys.argv[3]):
+    os.environ["PSVERIFY_NUMBA"] = value
+    for name in [name for name in sys.modules if name.split(".")[0] == "psverify"]:
+        del sys.modules[name]
+    import psverify
+    from psverify.pipeline import utterance_features_from_file
+    assert os.path.abspath(psverify.__file__) == sys.argv[1], psverify.__file__
+    assert importlib.util.find_spec("psverify._kernels") is None
+    features = utterance_features_from_file(sys.argv[2], "a")
+    vectors[value] = [float(v).hex() for v in features.vector]
 assert "numba" not in sys.modules
 assert "scipy.signal" not in sys.modules
-print(json.dumps([float(v).hex() for v in features.vector]))
+print(json.dumps(vectors))
 """
 
 
@@ -66,12 +74,12 @@ assert not loaded, loaded
 """
 
 
-def run_child(source, *args, **env_extra):
+def run_child(source, *args):
     """Run `source` in a fresh interpreter that imports the psverify under
     test; argv[1] is that package's __init__ path. Returns stdout."""
     package_file = os.path.abspath(psverify.__file__)
     package_root = os.path.dirname(os.path.dirname(package_file))
-    env = dict(os.environ, **env_extra)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
@@ -86,12 +94,6 @@ def run_child(source, *args, **env_extra):
     return proc.stdout
 
 
-def run_with_flag(value, utterance):
-    path, expected = utterance
-    stdout = run_child(CHILD, str(path), PSVERIFY_NUMBA=value)
-    assert json.loads(stdout) == expected
-
-
 def test_cli_import_leaves_scipy_signal_unloaded():
     run_child(CLI_CHILD)
 
@@ -101,10 +103,6 @@ def test_corpus_generation_loads_no_scipy(tmp_path):
     assert (tmp_path / "corpus" / "manifest.csv").is_file()
 
 
-def test_env_flag_selects_numpy_path(utterance):
-    run_with_flag("0", utterance)
-
-
 OFF_FLAGS = list(dict.fromkeys(
     form
     for base in ("0", "false", "no", "off")
@@ -112,6 +110,18 @@ OFF_FLAGS = list(dict.fromkeys(
 ))
 
 
+@pytest.fixture(scope="module")
+def flagged_vectors(utterance):
+    """Each flag value -> the feature vector a psverify imported under it gives."""
+    path, _ = utterance
+    return json.loads(run_child(CHILD, str(path), json.dumps(["1", *OFF_FLAGS])))
+
+
+def test_env_flag_selects_numpy_path(utterance, flagged_vectors):
+    _, expected = utterance
+    assert flagged_vectors["0"] == flagged_vectors["1"] == expected
+
+
 @pytest.mark.parametrize("value", OFF_FLAGS)
-def test_env_flag_off_values_disable_numba(value, utterance):
-    run_with_flag(value, utterance)
+def test_env_flag_off_values_disable_numba(value, utterance, flagged_vectors):
+    assert flagged_vectors[value] == utterance[1]

@@ -3,10 +3,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import autocorr_period
+from helpers import autocorr_period, literal_marks
+from psverify.features import VOWELS
 from psverify.synth import VOWEL_FORMANTS, synth_vowel
-from psverify.pipeline import detect_marks, preprocess_signal
+from psverify.pipeline import PipelineConfig, detect_marks, preprocess_signal
 from psverify.pitch import (
     HalfPeak,
     HalfPeaks,
@@ -110,6 +113,31 @@ class TestComputeStats:
         pos_only = HalfPeaks([1], [0], [1.0], [0.0])
         with pytest.raises(ValueError, match="polarity"):
             compute_stats(pos_only)
+
+
+@st.composite
+def mpd_lists(draw):
+    """1 to 200 MPDs: zeros, repeats of a few drawn values, and magnitudes
+    from 1e-300 to 1e300."""
+    magnitudes = st.floats(min_value=1e-300, max_value=1e300)
+    pool = draw(st.lists(st.just(0.0) | magnitudes, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool) | magnitudes, min_size=1, max_size=200))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mpd_lists(), mpd_lists(), st.randoms(use_true_random=False))
+def test_stats_equal_numpy_mean_and_std_bit_for_bit(pos_mpds, neg_mpds, rng):
+    signs = [1] * len(pos_mpds) + [-1] * len(neg_mpds)
+    rng.shuffle(signs)
+    pool = {1: iter(pos_mpds), -1: iter(neg_mpds)}
+    mpds = [next(pool[sign]) for sign in signs]
+    peaks = HalfPeaks(signs, range(len(signs)), [float(sign) for sign in signs], mpds)
+    with np.errstate(over="ignore"):  # squares of the largest MPDs overflow in both
+        stats = compute_stats(peaks)
+        for sign, m in ((1, np.array(pos_mpds)), (-1, np.array(neg_mpds))):
+            expected = (float(m.mean()), float(m.std()), float(m.max()))
+            assert [type(v) for v in stats[sign]] == [float] * 3
+            assert [v.hex() for v in stats[sign]] == [v.hex() for v in expected]
 
 
 class TestChoosePolarity:
@@ -267,3 +295,42 @@ class TestPeriodsFromMarks:
             assert (copied.mark_indices.tolist(), copied.polarity_used) == ([3, 40, 90], -1)
             with pytest.raises(ValueError, match="read-only"):
                 copied.mark_indices[0] = 1
+
+
+def marks_or_none(buffer):
+    """detect_marks as (mark indices, polarity), or None where it refuses."""
+    try:
+        marks = detect_marks(buffer)
+    except ValueError:
+        return None
+    return marks.mark_indices.tolist(), marks.polarity_used
+
+
+@st.composite
+def drawn_signals(draw):
+    """Runs of small integers or of floats up to 1e6, with zeros and
+    one-value plateaus, optionally tiled: a tiled signal is periodic, and
+    its MPD lists can tie the polarity choice exactly."""
+    values = st.integers(-60, 60).map(float) | st.floats(-1e6, 1e6)
+    runs = draw(st.lists(st.tuples(values, st.integers(1, 4)), min_size=2, max_size=40))
+    return [value for value, repeat in runs for _ in range(repeat)] * draw(st.integers(1, 6))
+
+
+@settings(max_examples=400, deadline=None)
+@given(drawn_signals(), st.sampled_from([1000, 4000, 16000]))
+@example([41.0, -1.0, 37.0], 1000)  # both MPDs at AMPV: x = 10, so 37 reaches 90% of 41
+@example([1.0, -0.5, 0.85, -0.5] * 5, 1000)  # numpy's mean of five equal MPDs falls below them: x = 20
+def test_marks_follow_the_literal_rule_on_drawn_signals(x, rate):
+    # at 1 kHz the period bounds are 2..20 samples, so short signals mark
+    expected = literal_marks(x, *PipelineConfig().period_bounds(rate))
+    assert marks_or_none(buf(x, rate)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(VOWELS), st.integers(80, 300), st.integers(0, 9), st.sampled_from([0.3, 0.9]))
+@example("e", 190, 8, 0.9)  # criterion 2's /e/ at 190 Hz: both mark the same wrong periods
+def test_marks_follow_the_literal_rule_on_vowels(vowel, f0, seed, seconds):
+    buffer = preprocess_signal(synth_vowel(f0, VOWEL_FORMANTS[vowel], seconds, seed=seed, silence_pad_s=0.05))
+    expected = literal_marks(buffer.samples.tolist(), *PipelineConfig().period_bounds(buffer.sample_rate_hz))
+    assert expected is not None
+    assert marks_or_none(buffer) == expected
