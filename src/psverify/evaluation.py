@@ -9,7 +9,8 @@ combined system, with accuracy computed on accepted trials.
 import csv
 import io
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from itertools import groupby
 from operator import attrgetter
 from pathlib import Path
 
@@ -95,8 +96,8 @@ class EvalReport:
 
     systems: dict
     vowel_rows: tuple
-    outcomes: tuple = field(default=())
-    failed: tuple = field(default=())
+    outcomes: tuple
+    failed: tuple
 
 
 def _tally(outcomes, pick, vowel=None) -> SystemCounts:
@@ -236,19 +237,15 @@ def run_training(
     no surviving utterance aborts training.
     """
     failed = [] if failed is None else failed
-    groups = {}
-    for entry in entries:
-        if entry.split != "train":
-            continue
-        groups.setdefault((entry.speaker_id, entry.vowel), []).append(entry)
-    if not groups:
+    key = attrgetter("speaker_id", "vowel")
+    # stable: each group keeps its entries in manifest order
+    train = sorted((entry for entry in entries if entry.split == "train"), key=key)
+    if not train:
         raise ValueError("manifest has no train entries")
-    groups = sorted(groups.items())
-    results = _features_of([entry for _, group in groups for entry in group], config, failed)
     model_set = ModelSet()
-    for (sid, vowel), group in groups:
-        # zip stops at the group's end, so it takes exactly the group's results
-        features = [f for _, f in zip(group, results) if f is not None]
+    pairs = zip(train, _features_of(train, config, failed))
+    for (sid, vowel), group in groupby(pairs, lambda pair: key(pair[0])):
+        features = [f for _, f in group if f is not None]
         if not features:
             raise ValueError(f"no usable training utterances for ({sid}, {vowel})")
         model_set.add(build_model(sid, vowel, features))

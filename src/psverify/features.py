@@ -86,7 +86,7 @@ def select_steady_state(buffer: SampleBuffer, periods: np.ndarray) -> np.ndarray
     if n < 3:
         raise ValueError(f"need at least 3 pitch periods, got {n}")
     peak_idx = int(np.argmax(np.abs(buffer.samples)))
-    p = min(max(int(np.searchsorted(periods[:, 0], peak_idx, side="right")) - 1, 0), n - 1)
+    p = max(int(np.searchsorted(periods[:, 0], peak_idx, side="right")) - 1, 0)
     return periods[max(0, p - REGION_PERIODS_BEFORE) : p + REGION_PERIODS_AFTER + 1]
 
 

@@ -184,11 +184,7 @@ class ModelSet:
         return self._read(vowel)[:2]
 
     def for_vowel(self, vowel: str) -> list[SpeakerModel]:
-        ids, matrix, counts = self._read(vowel)
-        return [
-            SpeakerModel._of_row(sid, vowel, row, n)
-            for sid, row, n in zip(ids, matrix, counts.tolist())
-        ]
+        return [self.models[sid, vowel] for sid in self.table(vowel)[0]]
 
 
 def build_model(speaker_id: str, vowel: str, features) -> SpeakerModel:

@@ -13,6 +13,7 @@ bounds.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +21,8 @@ import numpy as np
 from .signal_io import ArrayRecord, SampleBuffer
 
 
-@dataclass(frozen=True)
-class HalfPeak:
-    polarity: int  # the half's sign, +1 or -1
-    peak_index: int
-    peak_value: float
-    mpd: float
+# polarity is the half's sign, +1 or -1
+HalfPeak = namedtuple("HalfPeak", "polarity peak_index peak_value mpd")
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,10 +56,7 @@ class HalfPeaks(ArrayRecord):
         return self.signs.size
 
     def __iter__(self):
-        for sign, index, value, mpd in zip(
-            self.signs.tolist(), self.indices.tolist(), self.values.tolist(), self.mpds.tolist()
-        ):
-            yield HalfPeak(sign, index, value, mpd)
+        return map(HalfPeak, self.signs.tolist(), self.indices.tolist(), self.values.tolist(), self.mpds.tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +157,8 @@ def _thresholds(values, mpds, ampv: float, max_mpd: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         # MPDs are non-negative, so floor is int() truncation
         low = np.where(ampv <= 0.0, 1.0, np.minimum(np.floor(mpds * 10.0 / ampv) + 1.0, 10.0))
-        # span <= 0 is unreachable when max_mpd >= mpd > ampv
-        step = np.clip(np.ceil((mpds - ampv) * 10.0 / span), 1.0, 10.0)
-        high = np.where(span <= 0.0, 20.0, 10.0 + step)
+        # kept only where max_mpd >= mpd > ampv, so span > 0; other lanes may divide by 0
+        high = 10.0 + np.clip(np.ceil((mpds - ampv) * 10.0 / span), 1.0, 10.0)
     x = np.where(mpds <= ampv, low, high)
     return values * (1.0 - x / 100.0)
 

@@ -117,8 +117,6 @@ def load_wav_pcm16(path) -> SampleBuffer:
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as wav:
-            if wav.getcomptype() != "NONE":
-                raise ValueError(f"{path}: PCM required, got {wav.getcomptype()}")
             if wav.getnchannels() != 1:
                 raise ValueError(f"{path}: mono required, got {wav.getnchannels()} channels")
             if wav.getsampwidth() != 2:

@@ -489,6 +489,23 @@ class TestRecognitionCommands:
             "outcome: accepted s10\n"
         )
 
+    def test_identify_reports_disagreeing_picks_as_a_rejection(self, vowel_file, tmp_path, monkeypatch, capsys):
+        # ra is nearest by cepstra and rb by the temporal features
+        feats = UtteranceFeatures(TemporalFeatures(4.0, 0.0, 1.0, 5.0), CepstralVector(np.linspace(-1, 1, 12)), "a")
+        monkeypatch.setattr(cli.pipeline, "utterance_features_from_file", lambda path, vowel, cfg: feats)
+        model_set = ModelSet()
+        model_set.add(SpeakerModel("ra", "a", feats.vector + np.repeat([5.0, 0.0], [4, 12]), 1))
+        model_set.add(SpeakerModel("rb", "a", feats.vector + np.repeat([0.0, 5.0], [4, 12]), 1))
+        models_path = tmp_path / "split.bin"
+        save_models(model_set, models_path)
+        code = cli.main(["identify", str(vowel_file), "--models", str(models_path), "--vowel", "a"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "nearest by cepstra:  ra",
+            "nearest by features: rb",
+            "outcome: rejected (nearest speakers disagree)",
+        ]
+
     def test_identify_missing_models_is_data_error(self, vowel_file, tmp_path):
         code = cli.main([
             "identify", str(vowel_file), "--models", str(tmp_path / "none.txt"), "--vowel", "a",

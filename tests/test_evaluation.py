@@ -20,7 +20,7 @@ from psverify.evaluation import (
     write_report_csv,
 )
 from psverify.features import count_extrema
-from psverify.modeling import ModelSet
+from psverify.modeling import ModelSet, build_model
 from psverify.signal_io import write_text_samples
 from psverify.synth import VOWEL_FORMANTS, synth_vowel
 
@@ -218,6 +218,11 @@ class TestSyntheticCorpus:
         with pytest.raises(ValueError, match="two speakers"):
             make_synthetic_corpus(tmp_path, n_speakers=1)
 
+    @pytest.mark.parametrize("train, test", [(0, 1), (1, -1)])
+    def test_utterance_counts_checked(self, train, test):
+        with pytest.raises(ValueError, match="invalid utterance counts"):
+            synth.corpus_plan(2, train, test, 5, 16000, 0.35, 0.04)
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
@@ -258,7 +263,8 @@ class TestManifest:
         ("x" * 140_000 + ",s01,a,train", "line 2: field larger than field limit (131072)"),
         ("x.txt,s01,a,train,extra", "line 2: 5 cells, the header has 4"),
         ("x.txt,s01,a,train,,", "line 2: 6 cells, the header has 4"),
-    ], ids=["one-cell", "two-cells", "open-quote", "long-field", "extra-cell", "trailing-commas"])
+        ("x.txt,s01,a,dev", "line 2: unknown split 'dev'"),
+    ], ids=["one-cell", "two-cells", "open-quote", "long-field", "extra-cell", "trailing-commas", "unknown-split"])
     def test_malformed_row_reports_line(self, row, message, tmp_path):
         p = tmp_path / "manifest.csv"
         p.write_text(f"path,speaker_id,vowel,split\n{row}\n")
@@ -468,6 +474,60 @@ class TestRunTraining:
         with pytest.raises(ValueError, match="no train"):
             run_training([ManifestEntry("x.txt", "s01", "a", "test")], config)
 
+    @staticmethod
+    def interleaved(entries, seed=3):
+        """The manifest's rows in a seeded order that mixes speakers, vowels and splits."""
+        return [entries[i] for i in np.random.default_rng(seed).permutation(len(entries))]
+
+    def test_models_and_failures_match_a_file_by_file_reference(self, small_corpus, config, tmp_path):
+        _, entries = small_corpus
+        rows = self.interleaved(entries)
+        (tmp_path / "z_malformed.txt").write_text("abc\n")
+        # unreadable files just after the first train row of two groups, so they
+        # sit among their group's rows; the manifest lists (s03, a)'s first, and
+        # (s01, o)'s two against the order of their names
+        bad = {("s03", "a"): ["missing.txt"], ("s01", "o"): ["z_malformed.txt", "a_missing.txt"]}
+        for key, names in bad.items():
+            first = next(i for i, e in enumerate(rows) if e.split == "train" and (e.speaker_id, e.vowel) == key)
+            rows[first + 1 : first + 1] = [ManifestEntry(str(tmp_path / name), *key, "train") for name in names]
+        listed = [Path(e.path).name for e in rows if e.path.startswith(str(tmp_path))]
+        assert listed == ["missing.txt", "z_malformed.txt", "a_missing.txt"]
+        # the reference: one file at a time, each group in sorted key order and
+        # its files in manifest order
+        want, want_failed = {}, []
+        for key in sorted({(e.speaker_id, e.vowel) for e in rows if e.split == "train"}):
+            features = []
+            for entry in (e for e in rows if e.split == "train" and (e.speaker_id, e.vowel) == key):
+                try:
+                    features.append(pipeline.utterance_features_from_file(entry.path, entry.vowel, config))
+                except (OSError, ValueError):
+                    want_failed.append(entry.path)
+            want[key] = build_model(*key, features)
+        assert [Path(path).name for path in want_failed] == ["z_malformed.txt", "a_missing.txt", "missing.txt"]
+        failed = []
+        model_set = run_training(rows, config, failed)
+        assert [path for path, _ in failed] == want_failed
+        assert sorted(model_set.models) == sorted(want)
+        for key, model in want.items():
+            got = model_set.models[key]
+            assert got.n_utterances == model.n_utterances
+            assert got.mean_features.tobytes() == model.mean_features.tobytes()
+
+    def test_the_first_group_in_key_order_with_no_usable_file_is_named(self, small_corpus, config, tmp_path):
+        _, entries = small_corpus
+        # every train file of (s03, i) and of (s02, u) is missing; the manifest lists (s03, i)'s first
+        dead = {("s03", "i"), ("s02", "u")}
+        rows = [
+            replace(e, path=str(tmp_path / Path(e.path).name))
+            if e.split == "train" and (e.speaker_id, e.vowel) in dead else e
+            for e in self.interleaved(entries)
+        ]
+        keys = [(e.speaker_id, e.vowel) for e in rows if not Path(e.path).exists()]
+        assert keys.index(("s03", "i")) < keys.index(("s02", "u"))
+        with pytest.raises(ValueError) as refused:
+            run_training(rows, config)
+        assert str(refused.value) == "no usable training utterances for (s02, u)"
+
 
 class TestFailedFileReasons:
     @pytest.mark.parametrize("split", ["train", "test"])
@@ -528,6 +588,11 @@ class TestRunEvaluation:
         assert str(refused.value) == f"no test file could be scored: failed {len(tests)} of {len(tests)} test files"
         # one file that scores is a report
         assert run_evaluation([*tests, *entries], small_models, config).systems["combined"].total == len(tests)
+
+    def test_no_test_entries(self, small_corpus, small_models, config):
+        _, entries = small_corpus
+        with pytest.raises(ValueError, match="manifest has no test entries"):
+            run_evaluation([e for e in entries if e.split == "train"], small_models, config)
 
     def test_missing_vowel_models_rejected(self, small_corpus, config):
         _, entries = small_corpus

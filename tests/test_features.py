@@ -91,6 +91,10 @@ class TestCountExtrema:
         with pytest.raises(ValueError, match="shorter"):
             count_extrema(buf([1, 2, 3]), (0, 2))
 
+    def test_period_past_the_end_rejected(self):
+        with pytest.raises(ValueError, match="period runs past the end of the signal"):
+            count_extrema(buf(np.arange(10.0)), (5, 6))
+
     def test_against_brute_force(self):
         rng = np.random.default_rng(123)
         for _ in range(300):
@@ -209,6 +213,10 @@ class TestLevinsonDurbin:
             levinson_durbin([1.0, 2.0], 1)  # |k| = 2
         with pytest.raises(ValueError, match="ill-conditioned"):
             levinson_durbin([0.0, 0.0], 1)
+
+    def test_too_few_lags_rejected(self):
+        with pytest.raises(ValueError, match="need 13 autocorrelation lags, got 5"):
+            levinson_durbin(np.ones(5), 12)
 
 
 class TestLpcToCepstral:

@@ -62,6 +62,10 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="zero utterances"):
             build_model("spk", "a", [])
 
+    def test_non_feature_rejected(self):
+        with pytest.raises(TypeError, match="expected UtteranceFeatures"):
+            build_model("spk", "a", [np.zeros(16)])
+
     def test_mixed_vowels_rejected(self):
         rng = np.random.default_rng(6)
         with pytest.raises(ValueError, match="mixed vowels"):
@@ -296,6 +300,25 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="16"):
             SpeakerModel("spk", "a", np.zeros(15), 1)
 
+    def test_unknown_vowel_rejected(self):
+        with pytest.raises(ValueError, match="unknown vowel 'y'"):
+            SpeakerModel("spk", "y", np.zeros(16), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, bad):
+        values = np.zeros(16)
+        values[7] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            SpeakerModel("spk", "a", values, 1)
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "at least one utterance, got 0"),
+        (2**63, f"utterance count {2**63} exceeds {2**63 - 1}"),
+    ], ids=["zero", "past-int64"])
+    def test_count_out_of_range_rejected(self, count, message):
+        with pytest.raises(ValueError, match=message):
+            SpeakerModel("spk", "a", np.zeros(16), count)
+
     def test_duplicate_add_rejected(self):
         # refused whether the first model is still queued or already merged,
         # and the refused one leaves the set as it was
@@ -475,6 +498,12 @@ class TestRecords:
         assert pickle.loads(pickle.dumps(outcome)) == outcome == VerificationOutcome(True, "spk")
         assert hash(outcome) == hash(VerificationOutcome(True, "spk"))
         assert outcome != VerificationOutcome(True, "other") and outcome != VerificationOutcome(False)
+
+    def test_verification_outcome_names_a_speaker_exactly_when_accepted(self):
+        with pytest.raises(ValueError, match="accepted outcome needs a speaker id"):
+            VerificationOutcome(True)
+        with pytest.raises(ValueError, match="rejected outcome carries no speaker id"):
+            VerificationOutcome(False, "s1")
 
 
 # signed zero, subnormals and exponent boundaries must come back bit for bit

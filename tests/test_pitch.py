@@ -251,6 +251,14 @@ class TestMarkPitchPeriods:
         with pytest.raises(ValueError, match="min_period"):
             mark_pitch_periods(sine(), peaks, stats, 1, 100, 50)
 
+    def test_peaks_of_a_longer_buffer_rejected(self):
+        longer = sine(seconds=0.5)
+        peaks = extract_half_peaks(longer)
+        stats = compute_stats(peaks)
+        shorter = buf(longer.samples[:4000])
+        with pytest.raises(ValueError, match="peak index beyond buffer"):
+            mark_pitch_periods(shorter, peaks, stats, 1, 32, 320)
+
     def test_polarity_must_be_a_sign(self):
         peaks = extract_half_peaks(sine())
         stats = compute_stats(peaks)
@@ -280,6 +288,10 @@ class TestPeriodsFromMarks:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             PitchMarks(np.array([0, 100, 100]), 1)
+
+    def test_polarity_must_be_a_sign(self):
+        with pytest.raises(ValueError, match="unknown polarity 0"):
+            PitchMarks([1, 5], 0)
 
     def test_marks_are_a_read_only_copy(self):
         m = np.array([0, 10, 20])
