@@ -213,18 +213,19 @@ def load_manifest(path) -> list[ManifestEntry]:
 # ---------------------------------------------------------------------------
 # batch runs
 
-def _features_of(entries, config: PipelineConfig, failed: list):
-    """Features of each entry, or None for a file the pipeline refuses,
-    which is logged and recorded in `failed` as (path, reason) on its turn."""
-    for entry, result in zip(entries, features_of_files([(e.path, e.vowel) for e in entries], config)):
+def _features_of(entries, config: PipelineConfig, failed: list) -> list:
+    """Features of each entry, or None for a file the pipeline refuses; each
+    refusal is logged and listed in `failed` as (path, reason), all at once."""
+    results = features_of_files([(e.path, e.vowel) for e in entries], config)
+    for i, (entry, result) in enumerate(zip(entries, results)):
         if isinstance(result, Exception):
             # loader errors start with the path and an OSError's text quotes it
             detail = result.strerror if isinstance(result, OSError) and result.strerror else str(result)
             reason = f"{entry.path}: {detail.removeprefix(f'{entry.path}: ')}"
             log.warning("skipping %s", reason)
             failed.append((entry.path, reason))
-            result = None
-        yield result
+            results[i] = None
+    return results
 
 
 def run_training(

@@ -136,43 +136,29 @@ class ModelSet:
         values.frombytes(model.mean_features.astype(np.float64, copy=False).tobytes())
         counts.append(model.n_utterances)
 
-    def _merge(self, vowel: str, ids, columns: np.ndarray, counts: np.ndarray) -> None:
-        """Merge new models, given as (16, n) columns in any id order, into
-        the vowel's. Strictly increasing ids on a vowel with no columns keep
-        C-contiguous columns as they are; otherwise every column is written
-        once, straight to its sorted place in a new (16, S) buffer. Sorted ids
-        break strict order only at a repeat: ValueError naming the smallest."""
-        old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
-        ids = tuple(ids)
-        if old_ids:
-            ids = old_ids + ids
-        # a tuple that another vowel's columns hold is in order: load_models passes
-        # equal id lines as one tuple, so a file's shared line is walked once
-        in_order = any(ids is other for other, _, _ in self._columns.values()) or all(
-            map(operator.lt, ids, ids[1:]))
-        if not in_order:
-            order = sorted(range(len(ids)), key=ids.__getitem__)
-            ids = tuple(ids[i] for i in order)
-            if not all(map(operator.lt, ids, ids[1:])):
-                repeated = next(a for a, b in zip(ids, ids[1:]) if a == b)
-                raise ValueError(f"duplicate speaker id {repeated!r} for vowel {vowel!r}")
-        if old_ids or not (in_order and columns.flags.c_contiguous):
-            place = np.arange(len(ids))  # each model's column in the merged buffer
-            if not in_order:
-                place[order] = np.arange(len(ids))
-            old, new = place[:len(old_ids)], place[len(old_ids):]
-            merged, merged_counts = np.empty((MODEL_DIM, len(ids))), np.empty(len(ids), np.int64)
-            merged[:, old], merged_counts[old] = old_matrix.T, old_counts
-            merged[:, new], merged_counts[new] = columns, counts
-            columns, counts = merged, merged_counts
+    def _install(self, vowel: str, ids: tuple, columns: np.ndarray, counts: np.ndarray) -> None:
+        """Make the (16, S) columns and S counts of the sorted `ids` the
+        vowel's models, read-only."""
         columns.flags.writeable = counts.flags.writeable = False
         self._columns[vowel] = ids, columns.T, counts
 
     def _read(self, vowel: str):
-        """The vowel's (ids, matrix, counts), queued models merged in."""
-        ids, values, counts = self._queued.pop(vowel, _NO_QUEUE)
-        if ids:
-            self._merge(vowel, ids, np.frombuffer(values).reshape(-1, MODEL_DIM).T, np.frombuffer(counts, np.int64))
+        """The vowel's (ids, matrix, counts), queued models merged in: the
+        old columns and the queued rows are each written once, straight to
+        their sorted place in a new (16, S) buffer."""
+        queued, values, queued_counts = self._queued.pop(vowel, _NO_QUEUE)
+        if queued:
+            old_ids, old_matrix, old_counts = self._columns.get(vowel, _NO_COLUMNS)
+            ids = old_ids + tuple(queued)
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            place = np.empty(len(ids), np.intp)  # each model's column in the merged buffer
+            place[order] = np.arange(len(ids))
+            old, new = place[:len(old_ids)], place[len(old_ids):]
+            columns, counts = np.empty((MODEL_DIM, len(ids))), np.empty(len(ids), np.int64)
+            columns[:, old], counts[old] = old_matrix.T, old_counts
+            columns[:, new] = np.frombuffer(values).reshape(-1, MODEL_DIM).T
+            counts[new] = np.frombuffer(queued_counts, np.int64)
+            self._install(vowel, tuple(ids[i] for i in order), columns, counts)
         return self._columns.get(vowel, _NO_COLUMNS)
 
     def speakers(self) -> list[str]:
@@ -218,9 +204,10 @@ def save_models(model_set: ModelSet, path) -> None:
 
 def load_models(path) -> ModelSet:
     """Read the v3 format back, or raise a ValueError naming the path: for
-    any other header, a vowel line out of place, a bad or repeated speaker
-    id, a body whose size the id lines do not fix, a non-finite value or a
-    count below 1."""
+    any other header, a vowel line out of place, a bad speaker id, an id
+    line that does not strictly increase (as save_models writes them), a
+    body whose size the id lines do not fix, a non-finite value or a count
+    below 1."""
     path = Path(path)
     with open(path, "rb") as fh:
         header, *lines = [fh.readline() for _ in range(len(VOWELS) + 1)]
@@ -242,6 +229,11 @@ def load_models(path) -> ModelSet:
                         error = next(filter(None, map(speaker_id_error, ids)))
                         raise ValueError(f"line {lineno}: {error}")
                     ids = interned[tail] = tuple(map(sys.intern, ids))
+                    if not all(map(operator.lt, ids, ids[1:])):
+                        a, b = next((a, b) for a, b in zip(ids, ids[1:]) if a >= b)
+                        raise ValueError(f"line {lineno}: " + (
+                            f"duplicate speaker id {a!r} for vowel {vowel!r}" if a == b
+                            else f"speaker ids out of order: {a!r} before {b!r}"))
                 ids_of.append(ids)
             model_bytes = 8 * (MODEL_DIM + 1)
             size = model_bytes * sum(map(len, ids_of))
@@ -262,7 +254,7 @@ def load_models(path) -> ModelSet:
                     raise ValueError(f"vowel {vowel!r}: model values must be finite")
                 if not (counts >= 1).all():
                     raise ValueError(f"vowel {vowel!r}: utterance counts must be at least 1")
-                model_set._merge(vowel, ids, columns, counts)
+                model_set._install(vowel, ids, columns, counts)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
     return model_set

@@ -12,6 +12,7 @@ from psverify.features import CepstralVector, TemporalFeatures, UtteranceFeature
 from psverify.modeling import ModelSet, SpeakerModel, save_models
 from psverify.pipeline import PipelineConfig, detect_marks, load_signal, preprocess_signal
 from psverify.signal_io import load_text_samples
+from test_modeling import v3_bytes, v3_columns
 
 
 @pytest.fixture(scope="module")
@@ -518,6 +519,14 @@ class TestRecognitionCommands:
         code = cli.main(["identify", str(vowel_file), "--models", str(v1), "--vowel", "a"])
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: {v1}: not a 'PSV-MODELS v3' model file; run enroll")
+
+    def test_identify_out_of_order_models_is_data_error(self, vowel_file, tmp_path, capsys):
+        models = tmp_path / "models.bin"
+        rows = [[1.0] * 16, [2.0] * 16]
+        models.write_bytes(v3_bytes(["a s2 s1", "e", "i", "o", "u"]) + v3_columns([(rows, [3, 3])]))
+        code = cli.main(["identify", str(vowel_file), "--models", str(models), "--vowel", "a"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {models}: line 2:")
 
     def test_config_file_weights(self, enrolled, capsys):
         models_path, entries = enrolled

@@ -524,9 +524,14 @@ class TestRunTraining:
         ]
         keys = [(e.speaker_id, e.vowel) for e in rows if not Path(e.path).exists()]
         assert keys.index(("s03", "i")) < keys.index(("s02", "u"))
+        # every refused file is listed, in key order, before training refuses
+        missing = sorted((e for e in rows if not Path(e.path).exists()), key=lambda e: (e.speaker_id, e.vowel))
+        assert [(e.speaker_id, e.vowel) for e in missing] == [("s02", "u")] * 2 + [("s03", "i")] * 2
+        failed = []
         with pytest.raises(ValueError) as refused:
-            run_training(rows, config)
+            run_training(rows, config, failed)
         assert str(refused.value) == "no usable training utterances for (s02, u)"
+        assert [path for path, _ in failed] == [e.path for e in missing]
 
 
 class TestFailedFileReasons:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import brute_extrema, composed_vector, random_stable_predictor, spectral_cepstra, toeplitz_lpc
+from psverify import features
 from psverify.synth import VOWEL_FORMANTS, synth_vowel
 from psverify.features import (
     CepstralVector,
@@ -278,6 +279,13 @@ class TestPitchSynchronousCepstra:
         buffer, region = self.periodic_buffer(2)
         with pytest.raises(ValueError, match="region too short"):
             pitch_synchronous_cepstra(buffer, region)
+
+    def test_a_solve_error_is_raised(self, monkeypatch):
+        # lags all equal: the first reflection, R[1] / R[0], is 1
+        buffer, region = self.periodic_buffer(5)
+        monkeypatch.setattr(features, "cepstral_lags", lambda buffer, region: np.ones((3, 13)))
+        with pytest.raises(ValueError, match=r"^ill-conditioned autocorrelation: \|reflection\| >= 1$"):
+            features.pitch_synchronous_cepstra(buffer, region)
 
     def test_zero_row_region_rejected(self):
         buffer, region = self.periodic_buffer(3)

@@ -243,20 +243,28 @@ class TestPersistence:
 
 
 class TestIdLines:
-    def test_unsorted_line_loads_sorted_with_its_rows(self, tmp_path):
+    def test_unsorted_line_is_refused_at_its_first_pair(self, tmp_path):
+        # save_models writes every line sorted, so no other order is a model file
         p = tmp_path / "models.bin"
         rows = [np.arange(16.0) + 20, np.arange(16.0)]
         p.write_bytes(v3_bytes(["a s2 s1", "e", "i", "o", "u"]) + v3_columns([(rows, [7, 5])]))
-        loaded = load_models(p)
-        ids, matrix = loaded.table("a")
-        assert ids == ("s1", "s2")
-        np.testing.assert_array_equal(matrix, rows[::-1])
-        assert [m.n_utterances for m in loaded.for_vowel("a")] == [5, 7]
+        assert_refused(p, re.escape("line 2: speaker ids out of order: 's2' before 's1'") + "$")
 
     def test_repeated_id_in_unsorted_line_rejected(self, tmp_path):
         p = tmp_path / "models.bin"
         p.write_bytes(v3_bytes(["a s2 s1 s2", "e", "i", "o", "u"], [[1.0] * 16] * 3, COUNT_3 * 3))
-        assert_refused(p, "duplicate speaker id 's2' for vowel 'a'")
+        assert_refused(p, re.escape("line 2: speaker ids out of order: 's2' before 's1'") + "$")
+
+    @pytest.mark.parametrize("lines, lineno, repeated", [
+        (["a s1 s2 s2", "e", "i", "o", "u"], 2, "s2"),
+        (["a s1", "e s1", "i x x", "o", "u"], 4, "x"),
+    ])
+    def test_repeated_id_in_a_line_is_named(self, tmp_path, lines, lineno, repeated):
+        p = tmp_path / "models.bin"
+        p.write_bytes(v3_bytes(lines))
+        vowel = lines[lineno - 2][0]
+        error = f"line {lineno}: duplicate speaker id {repeated!r} for vowel {vowel!r}"
+        assert_refused(p, re.escape(error) + "$")
 
     @pytest.mark.parametrize("lines, lineno, first_bad", [
         (["a s1 x\ty  z", "e", "i", "o", "u"], 2, "x\ty"),
@@ -377,8 +385,8 @@ class TestColumns:
         elif way == "loaded":
             save_models(model_set, p)
             model_set = load_models(p)
-        elif way == "hand_made":  # unsorted, so the loader sorts its columns
-            p.write_bytes(v3_bytes([f"{vowel} s2 s1" for vowel in VOWELS])
+        elif way == "hand_made":  # the loader keeps a hand-made file's columns as read
+            p.write_bytes(v3_bytes([f"{vowel} s1 s2" for vowel in VOWELS])
                           + v3_columns([(rng.normal(size=(2, 16)), [3, 3])] * 5))
             model_set = load_models(p)
         for vowel in VOWELS:
@@ -614,11 +622,22 @@ def test_reads_between_adds_give_the_same_columns(model_path, records, data):
 @COLUMN_PROPERTY
 @given(model_records())
 def test_hand_made_file_loads_like_the_added_set(model_path, records):
-    """A file written by hand, each id line in the records' shuffled order,
-    loads to the same columns as adding the records one by one."""
+    """A file written by hand, each id line sorted, loads to the same
+    columns as adding the records one by one in their shuffled order; the
+    same file with the first line that does not strictly increase in the
+    records' shuffled order is refused, naming that line."""
     by_vowel = [[r for r in records if r[1] == vowel] for vowel in VOWELS]
-    lines = [" ".join((vowel, *(r[0] for r in rs))) for vowel, rs in zip(VOWELS, by_vowel)]
-    model_path.write_bytes(v3_bytes(lines) + v3_columns(([r[3] for r in rs], [r[2] for r in rs]) for rs in by_vowel))
+
+    def write(by_vowel):
+        lines = [" ".join((vowel, *(r[0] for r in rs))) for vowel, rs in zip(VOWELS, by_vowel)]
+        model_path.write_bytes(v3_bytes(lines) + v3_columns(([r[3] for r in rs], [r[2] for r in rs]) for rs in by_vowel))
+
+    unsorted = [next(((a[0], b[0]) for a, b in zip(rs, rs[1:]) if a[0] > b[0]), None) for rs in by_vowel]
+    if any(unsorted):
+        write(by_vowel)
+        lineno, (a, b) = next((n, pair) for n, pair in enumerate(unsorted, 2) if pair)
+        assert_refused(model_path, re.escape(f"line {lineno}: speaker ids out of order: {a!r} before {b!r}") + "$")
+    write([sorted(rs, key=lambda r: r[0]) for rs in by_vowel])
     loaded, added = load_models(model_path), model_set_of(records)
     assert loaded.speakers() == added.speakers()
     for vowel in VOWELS:
